@@ -1,0 +1,11 @@
+"""Put the benchmark's modules and chaoskit's sources on the import path."""
+
+import os
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+os.environ.setdefault("CHAOS_NO_NUMBA", "1")
+for p in (BENCH.parent / "src", BENCH):
+    if str(p) not in sys.path:
+        sys.path.insert(0, str(p))
