@@ -99,14 +99,9 @@ class EigenReport:
     max_real_part: float
 
 
-def linearized_eigen(spec: SystemSpec, at_time: float = 1.0) -> EigenReport:
-    """Eigenvalues of the flow linearized at x = v = 0.
-
-    Form B is autonomous in its linear part, so alpha_eff = alpha and
-    beta_eff = beta.  The A forms carry 1/t^q coefficients; they are frozen
-    at ``at_time``, which must be positive.
-    """
-    validate(spec)
+def _linear_part(spec: SystemSpec, at_time: float):
+    """(alpha_eff, beta_eff) of the linearization at the origin and its
+    eigenvalue pair, the roots of lam^2 + alpha_eff*lam + beta_eff = 0."""
     p = spec.params
     if spec.form == FORM_B:
         a_eff, b_eff = p.alpha, p.beta
@@ -116,10 +111,19 @@ def linearized_eigen(spec: SystemSpec, at_time: float = 1.0) -> EigenReport:
         P = pack_spec(spec)
         b_eff = -float(_k.rhs_tangent(at_time, 0.0, 0.0, 1.0, 0.0, P))
         a_eff = -float(_k.rhs_tangent(at_time, 0.0, 0.0, 0.0, 1.0, P))
-    disc = a_eff * a_eff - 4.0 * b_eff
-    root = cmath.sqrt(complex(disc, 0.0))
-    l1 = (-a_eff + root) / 2.0
-    l2 = (-a_eff - root) / 2.0
+    root = cmath.sqrt(complex(a_eff * a_eff - 4.0 * b_eff, 0.0))
+    return a_eff, b_eff, (-a_eff + root) / 2.0, (-a_eff - root) / 2.0
+
+
+def linearized_eigen(spec: SystemSpec, at_time: float = 1.0) -> EigenReport:
+    """Eigenvalues of the flow linearized at x = v = 0.
+
+    Form B is autonomous in its linear part, so alpha_eff = alpha and
+    beta_eff = beta.  The A forms carry 1/t^q coefficients; they are frozen
+    at ``at_time``, which must be positive.
+    """
+    validate(spec)
+    a_eff, b_eff, l1, l2 = _linear_part(spec, at_time)
     eig = tuple(sorted((l1, l2), key=lambda z: (z.real, z.imag), reverse=True))
     return EigenReport(
         spec=spec,
@@ -150,20 +154,9 @@ def hopf_scan(
     """
 
     def max_real(val):
-        s = with_param(spec, axis, val)
-        p = s.params
-        if s.form == FORM_B:
-            a_eff, b_eff = p.alpha, p.beta
-        else:
-            P = pack_spec(s)
-            b_eff = -float(_k.rhs_tangent(at_time, 0.0, 0.0, 1.0, 0.0, P))
-            a_eff = -float(_k.rhs_tangent(at_time, 0.0, 0.0, 0.0, 1.0, P))
-        disc = a_eff * a_eff - 4.0 * b_eff
-        root = cmath.sqrt(complex(disc, 0.0))
-        return max(((-a_eff + root) / 2.0).real, ((-a_eff - root) / 2.0).real)
+        _, _, l1, l2 = _linear_part(with_param(spec, axis, val), at_time)
+        return max(l1.real, l2.real)
 
-    if spec.form != FORM_B and at_time <= 0.0:
-        raise SingularTime(f"forms A1/A2 must be frozen at a time > 0, got {at_time}")
     values = np.linspace(lo, hi, steps)
     f = [max_real(val) for val in values]
     crossings = [float(values[i]) for i in range(steps) if f[i] == 0.0]

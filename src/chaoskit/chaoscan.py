@@ -259,6 +259,28 @@ def bifurcation_sweep(
     return BifurcationDiagram(spec, axis, values, cells, statuses)
 
 
+def _lambda_probe(spec, initial, cfg, estimator, transient_fraction, estimator_kwargs):
+    """Check the estimator name, then return probe(*(name, value)) giving
+    (lambda, status) of spec with those parameters set.  A trajectory that
+    escapes gives (nan, "diverged")."""
+    if estimator not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {sorted(_ESTIMATORS)}")
+
+    def probe(*settings):
+        s = spec
+        for name, value in settings:
+            s = with_param(s, name, value)
+        try:
+            est = _ESTIMATORS[estimator](
+                s, initial, cfg, transient_fraction=transient_fraction, **estimator_kwargs
+            )
+        except DivergedTrajectory:
+            return math.nan, CELL_DIVERGED
+        return est.lam, CELL_OK
+
+    return probe
+
+
 @dataclass(frozen=True)
 class LambdaMap:
     """Largest-exponent estimates over a two-axis grid.
@@ -287,26 +309,12 @@ def lambda_map(
     **estimator_kwargs,
 ) -> LambdaMap:
     """Exponent estimates over the product grid of two axes."""
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {sorted(_ESTIMATORS)}")
-    est = _ESTIMATORS[estimator]
-    v1 = axis1.values()
-    v2 = axis2.values()
+    probe = _lambda_probe(spec, initial, cfg, estimator, transient_fraction, estimator_kwargs)
 
     def cell(val1, val2):
-        def run():
-            s = with_param(with_param(spec, axis1.name, val1), axis2.name, val2)
-            try:
-                lam = est(
-                    s, initial, cfg, transient_fraction=transient_fraction, **estimator_kwargs
-                ).lam
-                return lam, CELL_OK
-            except DivergedTrajectory:
-                return math.nan, CELL_DIVERGED
+        return lambda: probe((axis1.name, val1), (axis2.name, val2))
 
-        return run
-
-    tasks = [cell(float(a), float(b)) for a in v1 for b in v2]
+    tasks = [cell(float(a), float(b)) for a in axis1.values() for b in axis2.values()]
     results = _run_indexed(tasks, eval_order)
     lam = np.empty((axis1.steps, axis2.steps))
     statuses = []
@@ -361,20 +369,15 @@ def critical_bisect(
     raised; equal signs raise NoBracket.  A probe whose trajectory escapes
     counts as unstable.
     """
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {sorted(_ESTIMATORS)}")
+    lam_at = _lambda_probe(spec, initial, cfg, estimator, transient_fraction, estimator_kwargs)
     if not hi > lo:
         raise ValidationError([f"need hi > lo, got [{lo}, {hi}]"])
     if not tol > 0.0:
         raise ValidationError([f"tolerance must be > 0, got {tol}"])
-    est = _ESTIMATORS[estimator]
 
     def probe(val):
-        s = with_param(spec, axis, val)
-        try:
-            return est(s, initial, cfg, transient_fraction=transient_fraction, **estimator_kwargs).lam
-        except DivergedTrajectory:
-            return math.inf
+        lam, status = lam_at((axis, val))
+        return math.inf if status == CELL_DIVERGED else lam
 
     probes: list[tuple[float, float]] = []
     lam_lo = probe(lo)

@@ -13,18 +13,17 @@ trajectory that escapes mid-estimate.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import dataclass, fields
+from typing import Callable
+
+import numpy as np
 
 from . import io as _io
-from .analysis import (
-    energy_trace,
-    hopf_scan,
-    lyapunov_two_trajectory,
-    lyapunov_variational,
-)
+from .analysis import energy_trace, hopf_scan
 from .chaoscan import (
+    _ESTIMATORS,
     Axis,
     bifurcation_sweep,
     critical_bisect,
@@ -40,16 +39,16 @@ from .errors import (
 )
 from .integrate import (
     COMPLETED,
+    METHODS,
     IntegratorConfig,
     Stroboscopic,
     VelocityZeroCrossing,
     integrate,
 )
 from .model import (
-    FORM_A1,
-    FORM_A2,
     FORM_B,
     FORMS,
+    PARAM_TYPES,
     EpsilonSchedule,
     Nonlinearity,
     Params,
@@ -57,12 +56,6 @@ from .model import (
     SystemSpec,
     validate,
 )
-
-COMMANDS = ("simulate", "energy", "lyapunov", "hopf", "poincare", "bifurcation", "map", "critical")
-
-_G_CHOICES = ("Zero", "Linear", "Cubic", "Sine")
-_EPS_CHOICES = ("Zero", "Constant", "PowerLaw")
-_ESTIMATOR_CHOICES = ("variational", "two_trajectory")
 
 
 class _UsageError(Exception):
@@ -76,165 +69,288 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_spec_flags(sp):
-    g = sp.add_argument_group("system")
-    g.add_argument("--spec-json", metavar="FILE", help="read the system from a JSON file")
-    g.add_argument("--form", choices=FORMS)
-    g.add_argument("--alpha", type=float)
-    g.add_argument("--beta", type=float)
-    g.add_argument("--gamma", type=float)
-    g.add_argument("--delta", type=float)
-    g.add_argument("--omega", type=float)
-    g.add_argument("--q", type=float)
-    g.add_argument("--p", type=float)
-    g.add_argument("--n", type=int)
-    g.add_argument("--g", choices=_G_CHOICES, help="restoring-force preset")
-    g.add_argument("--g-k", type=float, help="preset gain k")
-    g.add_argument("--g-w", type=float, help="Sine preset frequency w")
-    g.add_argument("--epsilon", choices=_EPS_CHOICES, help="regularization schedule")
-    g.add_argument("--epsilon-c", type=float, help="constant value or power-law coefficient")
-    g.add_argument("--epsilon-p", type=float, help="power-law exponent (defaults to --p)")
+def _dest(flag):
+    return flag[2:].replace("-", "_")
 
 
-def _add_run_flags(sp):
-    g = sp.add_argument_group("run")
-    g.add_argument("--method", choices=("rk4", "rkf45"), default="rk4")
-    g.add_argument("--dt", type=float, default=1e-3)
-    g.add_argument("--t-end", type=float, default=100.0)
-    g.add_argument("--abs-tol", type=float, default=1e-9)
-    g.add_argument("--rel-tol", type=float, default=1e-9)
-    g.add_argument("--sample-every", type=int, default=1)
-    g.add_argument("--blowup-threshold", type=float, default=1e8)
-    g.add_argument("--t0", type=float, help="start time (default 0 for form B, 1 for A1/A2)")
-    g.add_argument("--x0", type=float, default=1.0)
-    g.add_argument("--v0", type=float, default=0.0)
-    g.add_argument("--seed", type=int, help="recorded in the manifest; reserved")
-    g.add_argument("--out", required=True, metavar="FILE")
-    g.add_argument("--plot-out", metavar="FILE", help="gnuplot data file plus .meta.json sidecar")
+# Flags are (flag, add_argument keywords) pairs.  The inline system flags
+# and the integrator flags are read off Params and IntegratorConfig.
+_SPEC_FILE_FLAG = ("--spec-json", dict(metavar="FILE", help="read the system from a JSON file"))
+_SYSTEM_FLAGS = (
+    ("--form", dict(choices=FORMS)),
+    *((f"--{name}", dict(type=kind)) for name, kind in PARAM_TYPES.items()),
+    ("--g", dict(choices=("Zero", "Linear", "Cubic", "Sine"), help="restoring-force preset")),
+    ("--g-k", dict(type=float, help="preset gain k")),
+    ("--g-w", dict(type=float, help="Sine preset frequency w")),
+    ("--epsilon", dict(choices=("Zero", "Constant", "PowerLaw"), help="regularization schedule")),
+    ("--epsilon-c", dict(type=float, help="constant value or power-law coefficient")),
+    ("--epsilon-p", dict(type=float, help="power-law exponent (defaults to --p)")),
+)
+_INTEGRATOR_FLAGS = tuple(
+    (
+        "--" + f.name.replace("_", "-"),
+        dict(type=type(f.default), default=f.default, choices=METHODS if f.name == "method" else None),
+    )
+    for f in fields(IntegratorConfig)
+)
+_INITIAL_FLAGS = (
+    ("--t0", dict(type=float, help="start time (default 0 for form B, 1 for A1/A2)")),
+    ("--x0", dict(type=float, default=1.0)),
+    ("--v0", dict(type=float, default=0.0)),
+)
+_OUTPUT_FLAGS = (
+    ("--out", dict(required=True, metavar="FILE")),
+    ("--plot-out", dict(metavar="FILE", help="gnuplot data file plus .meta.json sidecar")),
+)
+_ESTIMATOR_FLAGS = (
+    ("--estimator", dict(choices=tuple(_ESTIMATORS), default="variational")),
+    ("--d0", dict(type=float, default=1e-8, help="two-trajectory initial offset")),
+    ("--renorm-interval", dict(type=float, help="time between renormalizations")),
+    ("--transient-fraction", dict(type=float, default=0.1)),
+)
+_SECTION_FLAGS = (
+    ("--section", dict(choices=("strobo", "vzero"), required=True)),
+    ("--period", dict(type=float, help="stroboscopic period (default 2*pi/omega)")),
+    ("--phase", dict(type=float, default=0.0)),
+    ("--direction", dict(choices=("rising", "falling", "any"), default="any")),
+    ("--transient-fraction", dict(type=float, default=0.1)),
+)
 
 
-def _add_estimator_flags(sp):
-    g = sp.add_argument_group("estimator")
-    g.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default="variational")
-    g.add_argument("--d0", type=float, default=1e-8, help="two-trajectory initial offset")
-    g.add_argument("--renorm-interval", type=float, help="time between renormalizations")
-    g.add_argument("--transient-fraction", type=float, default=0.1)
+def _axis_flags(suffix="", steps=None):
+    flags = (
+        (f"--axis{suffix}", dict(required=True)),
+        (f"--lo{suffix}", dict(type=float, required=True)),
+        (f"--hi{suffix}", dict(type=float, required=True)),
+    )
+    return flags if steps is None else flags + ((f"--steps{suffix}", dict(type=int, default=steps)),)
 
 
-def _add_section_flags(sp):
-    g = sp.add_argument_group("section")
-    g.add_argument("--section", choices=("strobo", "vzero"), required=True)
-    g.add_argument("--period", type=float, help="stroboscopic period (default 2*pi/omega)")
-    g.add_argument("--phase", type=float, default=0.0)
-    g.add_argument("--direction", choices=("rising", "falling", "any"), default="any")
-    g.add_argument("--transient-fraction", type=float, default=0.1)
+def _axis(opts, suffix=""):
+    return Axis(
+        opts["axis" + suffix],
+        float(opts["lo" + suffix]),
+        float(opts["hi" + suffix]),
+        int(opts["steps" + suffix]),
+    )
+
+
+def _section_of(opts):
+    if opts["section"] == "strobo":
+        return Stroboscopic(period=float(opts["period"]), phase=float(opts["phase"]))
+    return VelocityZeroCrossing(direction=opts["direction"])
+
+
+def _estimator_kwargs(opts):
+    kwargs = {"transient_fraction": float(opts["transient_fraction"])}
+    if opts.get("renorm_interval") is not None:
+        kwargs["renorm_interval"] = float(opts["renorm_interval"])
+    if opts["estimator"] == "two_trajectory":
+        kwargs["d0"] = float(opts["d0"])
+    elif "tangent0" in opts:
+        kwargs["tangent0"] = tuple(opts["tangent0"])
+    return kwargs
+
+
+# Runners take (spec, opts, initial, cfg) and return what the writer and the
+# plot columns read; hopf gets no initial state or integrator.  They look
+# the library functions up when called, so the names can be patched.
+
+
+def _energy(spec, opts, initial, cfg):
+    traj = integrate(spec, initial, cfg)
+    if traj.status != COMPLETED:
+        raise ChaoskitError(
+            f"energy needs a completed trajectory; run ended {traj.status} "
+            f"at t = {traj.status_time:.6g}"
+        )
+    return energy_trace(traj)
+
+
+def _hopf(spec, opts, initial, cfg):
+    crossings = hopf_scan(
+        spec,
+        opts["axis"],
+        float(opts["lo"]),
+        float(opts["hi"]),
+        steps=int(opts["steps"]),
+        at_time=float(opts["at_time"]),
+        resolution=float(opts["resolution"]),
+    )
+    return {"axis": opts["axis"], "lo": opts["lo"], "hi": opts["hi"], "crossings": crossings}
+
+
+def _bifurcation_columns(diagram, opts):
+    par = np.repeat(diagram.values, [len(cell) for cell in diagram.cells])
+    return {opts["axis"]: par, "x": np.concatenate(diagram.cells)}, {}
+
+
+def _map_columns(lmap, opts):
+    v1, v2 = np.meshgrid(lmap.axis1.values(), lmap.axis2.values(), indexing="ij")
+    columns = {opts["axis1"]: v1.ravel(), opts["axis2"]: v2.ravel(), "lambda": lmap.lam.ravel()}
+    return columns, {"estimator": opts["estimator"]}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its flags, how it runs, and what it writes.
+
+    ``plot`` maps (result, options) to the --plot-out columns and the extra
+    sidecar meta.  ``runs`` says whether the command integrates, and so
+    takes the initial-state and integrator flags.
+    """
+
+    help: str
+    flags: tuple
+    run: Callable
+    write: Callable
+    plot: Callable
+    runs: bool = True
+
+
+COMMANDS = {
+    "simulate": Command(
+        "integrate one trajectory to CSV",
+        (),
+        lambda spec, opts, initial, cfg: integrate(spec, initial, cfg),
+        lambda out, traj, m: _io.write_trajectory_csv(out, traj, m),
+        lambda traj, opts: ({"t": traj.t, "x": traj.x, "v": traj.v}, {"status": traj.status}),
+    ),
+    "energy": Command(
+        "energy functionals along a trajectory",
+        (),
+        _energy,
+        lambda out, trace, m: _io.write_energy_csv(out, trace, m),
+        lambda trace, opts: (
+            {
+                "t": trace.t,
+                "V": trace.V,
+                "V_dot_exact": trace.V_dot_exact,
+                "V_dot_paper": trace.V_dot_paper,
+                "V_reg": trace.V_reg,
+                "E": trace.E,
+            },
+            {},
+        ),
+    ),
+    "lyapunov": Command(
+        "largest Lyapunov exponent estimate",
+        _ESTIMATOR_FLAGS
+        + (("--tangent0", dict(type=float, nargs=2, default=(1.0, 0.0), metavar=("UX", "UV"))),),
+        lambda spec, opts, initial, cfg: _ESTIMATORS[opts["estimator"]](
+            spec, initial, cfg, **_estimator_kwargs(opts)
+        ),
+        lambda out, est, m: _io.write_json(out, est.to_dict(), m),
+        lambda est, opts: (
+            {"t": est.convergence_t, "lambda_running": est.convergence},
+            {"lambda": est.lam},
+        ),
+    ),
+    "hopf": Command(
+        "eigenvalue sign changes along a parameter axis",
+        _axis_flags(steps=41)
+        + (
+            ("--at-time", dict(type=float, default=1.0)),
+            ("--resolution", dict(type=float, default=1e-6)),
+        ),
+        _hopf,
+        lambda out, payload, m: _io.write_json(out, payload, m),
+        lambda payload, opts: ({"crossing": payload["crossings"]}, {}),
+        runs=False,
+    ),
+    "poincare": Command(
+        "section hits of one trajectory",
+        _SECTION_FLAGS,
+        lambda spec, opts, initial, cfg: poincare(
+            spec, initial, cfg, _section_of(opts), float(opts["transient_fraction"])
+        ),
+        lambda out, section, m: _io.write_poincare_csv(out, section, m),
+        lambda section, opts: (
+            {"x": section.points[:, 0], "v": section.points[:, 1]}
+            if opts["section"] == "strobo"
+            else {"t": section.points[:, 0], "x": section.points[:, 1]},
+            {"status": section.status},
+        ),
+    ),
+    "bifurcation": Command(
+        "section sweep along a parameter axis",
+        _SECTION_FLAGS + _axis_flags(steps=41),
+        lambda spec, opts, initial, cfg: bifurcation_sweep(
+            spec,
+            _axis(opts),
+            initial,
+            cfg,
+            _section_of(opts),
+            float(opts["transient_fraction"]),
+        ),
+        lambda out, diagram, m: _io.write_bifurcation_csv(out, diagram, m),
+        _bifurcation_columns,
+    ),
+    "map": Command(
+        "exponent map over two parameter axes",
+        _ESTIMATOR_FLAGS + _axis_flags("1", steps=11) + _axis_flags("2", steps=11),
+        lambda spec, opts, initial, cfg: lambda_map(
+            spec,
+            _axis(opts, "1"),
+            _axis(opts, "2"),
+            initial,
+            cfg,
+            estimator=opts["estimator"],
+            **_estimator_kwargs(opts),
+        ),
+        lambda out, lmap, m: _io.write_lambda_map_csv(out, lmap, m),
+        _map_columns,
+    ),
+    "critical": Command(
+        "bisect onto the stability boundary",
+        _ESTIMATOR_FLAGS + _axis_flags() + (("--tol", dict(type=float, default=1e-2)),),
+        lambda spec, opts, initial, cfg: critical_bisect(
+            spec,
+            opts["axis"],
+            float(opts["lo"]),
+            float(opts["hi"]),
+            float(opts["tol"]),
+            initial,
+            cfg,
+            estimator=opts["estimator"],
+            **_estimator_kwargs(opts),
+        ),
+        lambda out, crit, m: _io.write_json(out, _io.critical_payload(crit), m),
+        lambda crit, opts: (
+            {opts["axis"]: [v for v, _ in crit.probes], "lambda": [l for _, l in crit.probes]},
+            {"boundary": crit.boundary},
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chaoskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    sp = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-
-    sp = sub.add_parser("energy", help="energy functionals along a trajectory")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-
-    sp = sub.add_parser("lyapunov", help="largest Lyapunov exponent estimate")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-    _add_estimator_flags(sp)
-    sp.add_argument("--tangent0", type=float, nargs=2, default=[1.0, 0.0], metavar=("UX", "UV"))
-
-    sp = sub.add_parser("hopf", help="eigenvalue sign changes along a parameter axis")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-    sp.add_argument("--axis", required=True)
-    sp.add_argument("--lo", type=float, required=True)
-    sp.add_argument("--hi", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=41)
-    sp.add_argument("--at-time", type=float, default=1.0)
-    sp.add_argument("--resolution", type=float, default=1e-6)
-
-    sp = sub.add_parser("poincare", help="section hits of one trajectory")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-    _add_section_flags(sp)
-
-    sp = sub.add_parser("bifurcation", help="section sweep along a parameter axis")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-    _add_section_flags(sp)
-    sp.add_argument("--axis", required=True)
-    sp.add_argument("--lo", type=float, required=True)
-    sp.add_argument("--hi", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=41)
-
-    sp = sub.add_parser("map", help="exponent map over two parameter axes")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-    _add_estimator_flags(sp)
-    sp.add_argument("--axis1", required=True)
-    sp.add_argument("--lo1", type=float, required=True)
-    sp.add_argument("--hi1", type=float, required=True)
-    sp.add_argument("--steps1", type=int, default=11)
-    sp.add_argument("--axis2", required=True)
-    sp.add_argument("--lo2", type=float, required=True)
-    sp.add_argument("--hi2", type=float, required=True)
-    sp.add_argument("--steps2", type=int, default=11)
-
-    sp = sub.add_parser("critical", help="bisect onto the stability boundary")
-    _add_spec_flags(sp)
-    _add_run_flags(sp)
-    _add_estimator_flags(sp)
-    sp.add_argument("--axis", required=True)
-    sp.add_argument("--lo", type=float, required=True)
-    sp.add_argument("--hi", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-2)
-
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        groups = [("system", (_SPEC_FILE_FLAG,) + _SYSTEM_FLAGS)]
+        if command.runs:
+            groups.append(("run", _INTEGRATOR_FLAGS + _INITIAL_FLAGS))
+        groups += [(name, command.flags), ("output", _OUTPUT_FLAGS)]
+        for title, flags in groups:
+            group = sp.add_argument_group(title)
+            for flag, kwargs in flags:
+                group.add_argument(flag, **kwargs)
     return parser
 
 
-_INLINE_SPEC_KEYS = (
-    "form",
-    "alpha",
-    "beta",
-    "gamma",
-    "delta",
-    "omega",
-    "q",
-    "p",
-    "n",
-    "g",
-    "g_k",
-    "g_w",
-    "epsilon",
-    "epsilon_c",
-    "epsilon_p",
-)
-
-
 def _build_spec(args) -> SystemSpec:
-    inline = [k for k in _INLINE_SPEC_KEYS if getattr(args, k) is not None]
+    inline = [flag for flag, _ in _SYSTEM_FLAGS if getattr(args, _dest(flag)) is not None]
     if args.spec_json is not None:
         if inline:
             raise ValidationError(
-                [f"--spec-json conflicts with inline system flags: {', '.join('--' + k.replace('_', '-') for k in inline)}"]
+                [f"--spec-json conflicts with inline system flags: {', '.join(inline)}"]
             )
         with open(args.spec_json, "r", encoding="utf-8") as fh:
             return SystemSpec.from_json(fh.read())
-    defaults = Params()
     params = Params(
-        alpha=args.alpha if args.alpha is not None else defaults.alpha,
-        beta=args.beta if args.beta is not None else defaults.beta,
-        gamma=args.gamma if args.gamma is not None else defaults.gamma,
-        delta=args.delta if args.delta is not None else defaults.delta,
-        omega=args.omega if args.omega is not None else defaults.omega,
-        q=args.q if args.q is not None else defaults.q,
-        p=args.p if args.p is not None else defaults.p,
-        n=args.n if args.n is not None else defaults.n,
+        **{name: getattr(args, name) for name in PARAM_TYPES if getattr(args, name) is not None}
     )
     msgs = []
     if args.g is None and (args.g_k is not None or args.g_w is not None):
@@ -266,300 +382,47 @@ def _build_spec(args) -> SystemSpec:
 def manifest_from_args(args) -> tuple[dict, str, str | None]:
     """Normalize parsed flags into (manifest, out_path, plot_path)."""
     spec = _build_spec(args)
-    t0 = args.t0
-    if t0 is None:
-        t0 = 0.0 if spec.form == FORM_B else 1.0
-    manifest = {
-        "command": args.command,
-        "spec": spec.to_dict(),
-        "initial": {"t": t0, "x": args.x0, "v": args.v0},
-        "integrator": {
-            "method": args.method,
-            "dt": args.dt,
-            "t_end": args.t_end,
-            "abs_tol": args.abs_tol,
-            "rel_tol": args.rel_tol,
-            "sample_every": args.sample_every,
-            "blowup_threshold": args.blowup_threshold,
-        },
-        "options": _options_from_args(args, spec),
-        "seed": args.seed,
-    }
-    return manifest, args.out, args.plot_out
-
-
-def _section_options(args, spec):
-    period = args.period
-    if args.section == "strobo" and period is None:
+    command = COMMANDS[args.command]
+    manifest = {"command": args.command, "spec": spec.to_dict()}
+    if command.runs:
+        t0 = args.t0
+        if t0 is None:
+            t0 = 0.0 if spec.form == FORM_B else 1.0
+        manifest["initial"] = {"t": t0, "x": args.x0, "v": args.v0}
+        manifest["integrator"] = {
+            _dest(flag): getattr(args, _dest(flag)) for flag, _ in _INTEGRATOR_FLAGS
+        }
+    opts = {_dest(flag): getattr(args, _dest(flag)) for flag, _ in command.flags}
+    if opts.get("section") == "strobo" and opts["period"] is None:
         omega = spec.params.omega
         if omega <= 0.0:
             raise ValidationError(["stroboscopic sections need omega > 0 to default the period"])
-        period = 2.0 * math.pi / omega
-    return {
-        "section": args.section,
-        "period": period,
-        "phase": args.phase,
-        "direction": args.direction,
-        "transient_fraction": args.transient_fraction,
-    }
-
-
-def _estimator_options(args):
-    return {
-        "estimator": args.estimator,
-        "d0": args.d0,
-        "renorm_interval": args.renorm_interval,
-        "transient_fraction": args.transient_fraction,
-    }
-
-
-def _options_from_args(args, spec) -> dict:
-    cmd = args.command
-    if cmd in ("simulate", "energy"):
-        return {}
-    if cmd == "lyapunov":
-        opts = _estimator_options(args)
-        opts["tangent0"] = list(args.tangent0)
-        return opts
-    if cmd == "hopf":
-        return {
-            "axis": args.axis,
-            "lo": args.lo,
-            "hi": args.hi,
-            "steps": args.steps,
-            "at_time": args.at_time,
-            "resolution": args.resolution,
-        }
-    if cmd == "poincare":
-        return _section_options(args, spec)
-    if cmd == "bifurcation":
-        opts = _section_options(args, spec)
-        opts.update({"axis": args.axis, "lo": args.lo, "hi": args.hi, "steps": args.steps})
-        return opts
-    if cmd == "map":
-        opts = _estimator_options(args)
-        opts.update(
-            {
-                "axis1": args.axis1,
-                "lo1": args.lo1,
-                "hi1": args.hi1,
-                "steps1": args.steps1,
-                "axis2": args.axis2,
-                "lo2": args.lo2,
-                "hi2": args.hi2,
-                "steps2": args.steps2,
-            }
-        )
-        return opts
-    if cmd == "critical":
-        opts = _estimator_options(args)
-        opts.update({"axis": args.axis, "lo": args.lo, "hi": args.hi, "tol": args.tol})
-        return opts
-    raise ValidationError([f"unknown command {cmd!r}"])
-
-
-def _spec_of(manifest) -> SystemSpec:
-    return SystemSpec.from_dict(manifest["spec"])
-
-
-def _initial_of(manifest) -> State:
-    ini = manifest["initial"]
-    return State(float(ini["t"]), float(ini["x"]), float(ini["v"]))
-
-
-def _cfg_of(manifest) -> IntegratorConfig:
-    return IntegratorConfig(**manifest["integrator"])
-
-
-def _section_of(manifest):
-    opts = manifest["options"]
-    if opts["section"] == "strobo":
-        return Stroboscopic(period=float(opts["period"]), phase=float(opts["phase"]))
-    return VelocityZeroCrossing(direction=opts["direction"])
-
-
-def _estimator_kwargs(opts):
-    kwargs = {"transient_fraction": float(opts["transient_fraction"])}
-    if opts.get("renorm_interval") is not None:
-        kwargs["renorm_interval"] = float(opts["renorm_interval"])
-    if opts["estimator"] == "two_trajectory":
-        kwargs["d0"] = float(opts["d0"])
-    return kwargs
-
-
-def _run_estimator(manifest, spec, initial, cfg):
-    opts = manifest["options"]
-    kwargs = _estimator_kwargs(opts)
-    if opts["estimator"] == "two_trajectory":
-        return lyapunov_two_trajectory(spec, initial, cfg, **kwargs)
-    if "tangent0" in opts:
-        kwargs["tangent0"] = tuple(opts["tangent0"])
-    return lyapunov_variational(spec, initial, cfg, **kwargs)
+        opts["period"] = 2.0 * math.pi / omega
+    manifest["options"] = opts
+    return manifest, args.out, args.plot_out
 
 
 def execute(manifest: dict, out: str, plot_out: str | None = None):
     """Run the manifest's command and write its artifact(s)."""
-    cmd = manifest["command"]
-    spec = _spec_of(manifest)
-    initial = _initial_of(manifest)
-    cfg = _cfg_of(manifest)
+    name = manifest["command"]
+    command = COMMANDS.get(name)
+    if command is None:
+        raise ValidationError([f"unknown command {name!r}"])
+    spec = SystemSpec.from_dict(manifest["spec"])
     opts = manifest["options"]
-    if cmd != "hopf":
-        # hopf scans the linearization and may sweep through regions a
-        # strict validate would reject
+    # hopf scans the linearization and may sweep through regions a strict
+    # validate would reject
+    initial = cfg = None
+    if command.runs:
+        ini = manifest["initial"]
+        initial = State(float(ini["t"]), float(ini["x"]), float(ini["v"]))
+        cfg = IntegratorConfig(**manifest["integrator"])
         validate(spec, t0=initial.t)
-
-    if cmd == "simulate":
-        traj = integrate(spec, initial, cfg)
-        _io.write_trajectory_csv(out, traj, manifest)
-        if plot_out:
-            _io.emit_plotdata(
-                plot_out,
-                {"t": traj.t, "x": traj.x, "v": traj.v},
-                {"command": cmd, "status": traj.status},
-            )
-        return
-
-    if cmd == "energy":
-        traj = integrate(spec, initial, cfg)
-        if traj.status != COMPLETED:
-            raise ChaoskitError(
-                f"energy needs a completed trajectory; run ended {traj.status} "
-                f"at t = {traj.status_time:.6g}"
-            )
-        trace = energy_trace(traj)
-        _io.write_energy_csv(out, trace, manifest)
-        if plot_out:
-            _io.emit_plotdata(
-                plot_out,
-                {
-                    "t": trace.t,
-                    "V": trace.V,
-                    "V_dot_exact": trace.V_dot_exact,
-                    "V_dot_paper": trace.V_dot_paper,
-                    "V_reg": trace.V_reg,
-                    "E": trace.E,
-                },
-                {"command": cmd},
-            )
-        return
-
-    if cmd == "lyapunov":
-        est = _run_estimator(manifest, spec, initial, cfg)
-        _io.write_json(out, _io.lyapunov_payload(est), manifest)
-        if plot_out:
-            _io.emit_plotdata(
-                plot_out,
-                {"t": est.convergence_t, "lambda_running": est.convergence},
-                {"command": cmd, "lambda": est.lam},
-            )
-        return
-
-    if cmd == "hopf":
-        crossings = hopf_scan(
-            spec,
-            opts["axis"],
-            float(opts["lo"]),
-            float(opts["hi"]),
-            steps=int(opts["steps"]),
-            at_time=float(opts["at_time"]),
-            resolution=float(opts["resolution"]),
-        )
-        payload = {
-            "axis": opts["axis"],
-            "lo": opts["lo"],
-            "hi": opts["hi"],
-            "crossings": crossings,
-        }
-        _io.write_json(out, payload, manifest)
-        if plot_out:
-            _io.emit_plotdata(plot_out, {"crossing": crossings}, {"command": cmd})
-        return
-
-    if cmd == "poincare":
-        section = poincare(
-            spec, initial, cfg, _section_of(manifest), float(opts["transient_fraction"])
-        )
-        _io.write_poincare_csv(out, section, manifest)
-        if plot_out:
-            cols = (
-                {"x": section.points[:, 0], "v": section.points[:, 1]}
-                if opts["section"] == "strobo"
-                else {"t": section.points[:, 0], "x": section.points[:, 1]}
-            )
-            _io.emit_plotdata(plot_out, cols, {"command": cmd, "status": section.status})
-        return
-
-    if cmd == "bifurcation":
-        diagram = bifurcation_sweep(
-            spec,
-            Axis(opts["axis"], float(opts["lo"]), float(opts["hi"]), int(opts["steps"])),
-            initial,
-            cfg,
-            _section_of(manifest),
-            float(opts["transient_fraction"]),
-        )
-        _io.write_bifurcation_csv(out, diagram, manifest)
-        if plot_out:
-            par, xs = [], []
-            for val, cell, status in zip(diagram.values, diagram.cells, diagram.statuses):
-                for x in cell:
-                    par.append(val)
-                    xs.append(x)
-            _io.emit_plotdata(plot_out, {opts["axis"]: par, "x": xs}, {"command": cmd})
-        return
-
-    if cmd == "map":
-        lmap = lambda_map(
-            spec,
-            Axis(opts["axis1"], float(opts["lo1"]), float(opts["hi1"]), int(opts["steps1"])),
-            Axis(opts["axis2"], float(opts["lo2"]), float(opts["hi2"]), int(opts["steps2"])),
-            initial,
-            cfg,
-            estimator=opts["estimator"],
-            **_estimator_kwargs(opts),
-        )
-        _io.write_lambda_map_csv(out, lmap, manifest)
-        if plot_out:
-            v1 = lmap.axis1.values()
-            v2 = lmap.axis2.values()
-            a, b, l = [], [], []
-            for i in range(lmap.axis1.steps):
-                for j in range(lmap.axis2.steps):
-                    a.append(v1[i])
-                    b.append(v2[j])
-                    l.append(lmap.lam[i, j])
-            _io.emit_plotdata(
-                plot_out,
-                {opts["axis1"]: a, opts["axis2"]: b, "lambda": l},
-                {"command": cmd, "estimator": opts["estimator"]},
-            )
-        return
-
-    if cmd == "critical":
-        crit = critical_bisect(
-            spec,
-            opts["axis"],
-            float(opts["lo"]),
-            float(opts["hi"]),
-            float(opts["tol"]),
-            initial,
-            cfg,
-            estimator=opts["estimator"],
-            **_estimator_kwargs(opts),
-        )
-        _io.write_json(out, _io.critical_payload(crit), manifest)
-        if plot_out:
-            vals = [v for v, _ in crit.probes]
-            lams = [l for _, l in crit.probes]
-            _io.emit_plotdata(
-                plot_out,
-                {opts["axis"]: vals, "lambda": lams},
-                {"command": cmd, "boundary": crit.boundary},
-            )
-        return
-
-    raise ValidationError([f"unknown command {cmd!r}"])
+    result = command.run(spec, opts, initial, cfg)
+    command.write(out, result, manifest)
+    if plot_out:
+        columns, meta = command.plot(result, opts)
+        _io.emit_plotdata(plot_out, columns, {"command": name, **meta})
 
 
 def rerun(manifest, out: str, plot_out: str | None = None):

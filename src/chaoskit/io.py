@@ -23,7 +23,7 @@ from .chaoscan import (
     LambdaMap,
     PoincareSection,
 )
-from .analysis import EnergyTrace, LyapunovEstimate
+from .analysis import EnergyTrace
 from .integrate import Stroboscopic, Trajectory
 
 FLOAT_FMT = "%.17g"
@@ -145,10 +145,6 @@ def write_json(path, payload: dict, manifest: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def lyapunov_payload(est: LyapunovEstimate) -> dict:
-    return est.to_dict()
 
 
 def critical_payload(crit: CriticalSet) -> dict:

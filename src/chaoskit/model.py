@@ -58,7 +58,8 @@ class Params:
     n: int = 2
 
 
-PARAM_NAMES = tuple(f.name for f in fields(Params))
+PARAM_TYPES = {f.name: type(f.default) for f in fields(Params)}
+PARAM_NAMES = tuple(PARAM_TYPES)
 
 
 @dataclass(frozen=True)
@@ -208,16 +209,7 @@ class SystemSpec:
     def to_dict(self):
         return {
             "form": self.form,
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "gamma": self.params.gamma,
-                "delta": self.params.delta,
-                "omega": self.params.omega,
-                "q": self.params.q,
-                "p": self.params.p,
-                "n": self.params.n,
-            },
+            "params": {name: getattr(self.params, name) for name in PARAM_NAMES},
             "nonlinearity": self.nonlinearity.to_dict(),
             "epsilon": self.epsilon.to_dict(),
         }
@@ -228,16 +220,7 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, d):
         pd = d.get("params", {})
-        params = Params(
-            alpha=float(pd.get("alpha", 0.0)),
-            beta=float(pd.get("beta", 0.0)),
-            gamma=float(pd.get("gamma", 0.0)),
-            delta=float(pd.get("delta", 0.0)),
-            omega=float(pd.get("omega", 1.0)),
-            q=float(pd.get("q", 0.0)),
-            p=float(pd.get("p", 2.0)),
-            n=int(pd.get("n", 2)),
-        )
+        params = Params(**{k: PARAM_TYPES[k](v) for k, v in pd.items() if k in PARAM_TYPES})
         nl = Nonlinearity.from_dict(d["nonlinearity"]) if "nonlinearity" in d else Nonlinearity()
         eps = EpsilonSchedule.from_dict(d["epsilon"]) if "epsilon" in d else EpsilonSchedule()
         return cls(form=d.get("form", FORM_B), params=params, nonlinearity=nl, epsilon=eps)
@@ -254,11 +237,7 @@ def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
     """
     if name not in PARAM_NAMES:
         raise InvalidAxis(f"unknown parameter axis {name!r}; expected one of {PARAM_NAMES}")
-    if name == "n":
-        value = int(value)
-    else:
-        value = float(value)
-    return replace(spec, params=replace(spec.params, **{name: value}))
+    return replace(spec, params=replace(spec.params, **{name: PARAM_TYPES[name](value)}))
 
 
 def pack_spec(spec: SystemSpec) -> np.ndarray:

@@ -13,10 +13,12 @@ import pytest
 from chaoskit import (
     DivergedTrajectory,
     EpsilonSchedule,
+    FORM_A1,
     FORM_A2,
     FORM_B,
     IntegratorConfig,
     InvalidAxis,
+    Nonlinearity,
     Params,
     State,
     SystemSpec,
@@ -146,6 +148,21 @@ def test_hopf_scan_beta_axis_crossing():
     crossings = hopf_scan(spec, "beta", -0.5, 0.5)
     assert len(crossings) == 1
     assert abs(crossings[0]) <= 1e-6
+
+
+@pytest.mark.parametrize("form", [FORM_A1, FORM_A2])
+def test_hopf_scan_freezes_the_a_form_coefficients(form):
+    # alpha_eff = (alpha + beta) / t^q + gamma vanishes at alpha = -0.5 when
+    # frozen at t = 1 and at alpha = -0.8 when frozen at t = 2
+    spec = SystemSpec(
+        form=form,
+        params=Params(beta=0.2, gamma=0.3, q=1.0),
+        nonlinearity=Nonlinearity.linear(1.0),
+    )
+    for at_time, crossing in ((1.0, -0.5), (2.0, -0.8)):
+        assert hopf_scan(spec, "alpha", -1.0, 1.0, at_time=at_time) == [
+            pytest.approx(crossing, abs=1e-6)
+        ]
 
 
 def test_hopf_scan_reports_no_crossing_on_stable_range():

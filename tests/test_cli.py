@@ -8,6 +8,37 @@ from chaoskit.cli import main, rerun
 from chaoskit.io import read_manifest
 
 
+LINEAR = ["--form", "B", "--alpha", "0.5", "--beta", "1"]
+FORCED = ["--form", "B", "--alpha", "0.1", "--beta", "1", "--gamma", "0.3", "--delta", "0.5",
+          "--omega", "2"]
+# a linear Mathieu cell, parametrically resonant at omega = 2: lambda is about
+# -0.1 at gamma = 0 and changes sign below gamma = 0.5
+MATHIEU = ["--form", "B", "--alpha", "0.2", "--beta", "1", "--delta", "1", "--omega", "2",
+           "--n", "1"]
+
+# a tiny run of every subcommand, with the columns its --plot-out file holds
+EVERY_COMMAND = {
+    "simulate": (["simulate", *LINEAR, "--t-end", "1", "--dt", "1e-2"], ["t", "x", "v"]),
+    "energy": (["energy", *LINEAR, "--t-end", "1", "--dt", "1e-2"],
+               ["t", "V", "V_dot_exact", "V_dot_paper", "V_reg", "E"]),
+    "lyapunov": (["lyapunov", *LINEAR, "--t-end", "2", "--dt", "1e-2"], ["t", "lambda_running"]),
+    "hopf": (["hopf", *LINEAR, "--axis", "alpha", "--lo", "-1", "--hi", "1", "--steps", "5"],
+             ["crossing"]),
+    "poincare": (["poincare", "--section", "vzero", *LINEAR, "--t-end", "10", "--dt", "1e-2"],
+                 ["t", "x"]),
+    "bifurcation": (["bifurcation", "--section", "strobo", "--axis", "gamma", "--lo", "0",
+                     "--hi", "1", "--steps", "2", *FORCED, "--t-end", "10", "--dt", "1e-2"],
+                    ["gamma", "x"]),
+    "map": (["map", "--axis1", "alpha", "--lo1", "0.3", "--hi1", "0.7", "--steps1", "2",
+             "--axis2", "beta", "--lo2", "0.8", "--hi2", "1.2", "--steps2", "2", *LINEAR,
+             "--t-end", "2", "--dt", "1e-2"],
+            ["alpha", "beta", "lambda"]),
+    "critical": (["critical", "--axis", "gamma", "--lo", "0", "--hi", "2", "--tol", "0.5",
+                  *MATHIEU, "--t-end", "20", "--dt", "1e-2"],
+                 ["gamma", "lambda"]),
+}
+
+
 def run(args):
     return main(args)
 
@@ -34,13 +65,34 @@ def test_repeat_invocations_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_rerun_from_manifest_reproduces_bytes(tmp_path):
-    out = tmp_path / "traj.csv"
-    run(["simulate", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "10",
-         "--dt", "1e-3", "--out", str(out)])
-    again = tmp_path / "again.csv"
-    rerun(read_manifest(out), str(again))
+@pytest.mark.parametrize("command", list(EVERY_COMMAND))
+def test_rerun_from_manifest_reproduces_bytes(tmp_path, command):
+    out, plot = tmp_path / "first", tmp_path / "first.dat"
+    assert run(EVERY_COMMAND[command][0] + ["--out", str(out), "--plot-out", str(plot)]) == 0
+    again, again_plot = tmp_path / "again", tmp_path / "again.dat"
+    rerun(read_manifest(out), str(again), str(again_plot))
     assert out.read_bytes() == again.read_bytes()
+    assert plot.read_bytes() == again_plot.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "hopf"])
+def test_rerun_keeps_dropped_manifest_fields(tmp_path, command):
+    # manifests once carried "seed": null, and hopf's the run settings it
+    # never read; artifacts holding them still rerun to the same bytes
+    out = tmp_path / "new"
+    assert run(EVERY_COMMAND[command][0] + ["--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert "seed" not in manifest
+    old_manifest = dict(manifest, seed=None)
+    if command == "hopf":
+        assert "initial" not in manifest and "integrator" not in manifest
+        old_manifest["initial"] = {"t": 0.0, "x": 1.0, "v": 0.0}
+        old_manifest["integrator"] = {"method": "rk4", "dt": 1e-3, "t_end": 100.0}
+    old, again = tmp_path / "old", tmp_path / "again"
+    rerun(old_manifest, str(old))
+    rerun(str(old), str(again))
+    assert read_manifest(old) == old_manifest
+    assert old.read_bytes() == again.read_bytes()
 
 
 def test_simulate_diverged_is_still_success(tmp_path):
@@ -177,6 +229,9 @@ def test_usage_failure_exits_one(tmp_path):
     assert run(["simulate", "--no-such-flag", "--out", str(tmp_path / "x.csv")]) == 1
     assert run(["simulate", "--form", "B"]) == 1  # missing --out
     assert run([]) == 1
+    # hopf takes no run flags, and no command takes --seed
+    assert run(EVERY_COMMAND["hopf"][0] + ["--dt", "1e-3", "--out", str(tmp_path / "h.json")]) == 1
+    assert run(EVERY_COMMAND["simulate"][0] + ["--seed", "1", "--out", str(tmp_path / "s.csv")]) == 1
 
 
 def test_spec_json_conflicts_with_inline_flags(tmp_path):
@@ -199,12 +254,12 @@ def test_a_forms_default_to_t0_one(tmp_path):
     assert float(out.read_text().splitlines()[2].split(",")[0]) == 1.0
 
 
-def test_plot_out_writes_sidecar(tmp_path):
-    out = tmp_path / "traj.csv"
-    plot = tmp_path / "traj.dat"
-    code = run(["simulate", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "5",
-                "--dt", "1e-3", "--out", str(out), "--plot-out", str(plot)])
-    assert code == 0
-    assert plot.exists()
-    meta = json.loads((tmp_path / "traj.dat.meta.json").read_text())
-    assert meta["columns"] == ["t", "x", "v"]
+@pytest.mark.parametrize("command", list(EVERY_COMMAND))
+def test_plot_out_writes_sidecar(tmp_path, command):
+    argv, columns = EVERY_COMMAND[command]
+    out, plot = tmp_path / "artifact", tmp_path / "plot.dat"
+    assert run(argv + ["--out", str(out), "--plot-out", str(plot)]) == 0
+    assert plot.read_text().splitlines()[0] == "# " + " ".join(columns)
+    meta = json.loads((tmp_path / "plot.dat.meta.json").read_text())
+    assert meta["columns"] == columns
+    assert meta["command"] == command

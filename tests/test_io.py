@@ -24,7 +24,6 @@ from chaoskit.io import (
     classify_lambda,
     emit_plotdata,
     fmt,
-    lyapunov_payload,
     manifest_line,
     read_manifest,
     write_bifurcation_csv,
@@ -73,7 +72,7 @@ def test_trajectory_csv_layout(tmp_path):
 def test_json_embeds_manifest(tmp_path):
     est = lyapunov_variational(LINEAR, INI, IntegratorConfig(method="rk4", dt=1e-2, t_end=50.0))
     path = tmp_path / "lyap.json"
-    write_json(path, lyapunov_payload(est), MANIFEST)
+    write_json(path, est.to_dict(), MANIFEST)
     doc = json.loads(path.read_text())
     assert doc["manifest"] == MANIFEST
     assert doc["lambda"] == est.lam
