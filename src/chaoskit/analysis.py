@@ -20,8 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .errors import DegenerateSeparation, DivergedTrajectory, NonFinite, SingularTime
-from .integrate import COMPLETED, IntegratorConfig, Trajectory, grid_steps
+from .errors import (
+    DegenerateSeparation,
+    DivergedTrajectory,
+    NonFinite,
+    SingularTime,
+    ValidationError,
+)
+from .integrate import COMPLETED, IntegratorConfig, Trajectory, checked_run
 from .model import (
     FORM_B,
     State,
@@ -136,6 +142,26 @@ def linearized_eigen(spec: SystemSpec, at_time: float = 1.0) -> EigenReport:
     )
 
 
+def bisect_sign(f, a, fa, b, fb, width, stop_at_zero=False):
+    """Shrink [a, b], where fa = f(a) and fb = f(b) lie on opposite sides of
+    zero, until it is no wider than width or its midpoint no longer splits
+    it.  With stop_at_zero an exact zero at a midpoint ends the search there.
+    Returns the final (a, fa, b, fb).
+    """
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        fm = f(mid)
+        if stop_at_zero and fm == 0.0:
+            return mid, fm, mid, fm
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    return a, fa, b, fb
+
+
 def hopf_scan(
     spec: SystemSpec,
     axis: str,
@@ -148,10 +174,12 @@ def hopf_scan(
     """Parameter values where the leading eigenvalue's real part changes sign.
 
     Scans ``steps`` evenly spaced values of the named parameter, then bisects
-    each bracketing pair down to ``resolution``.  Parameter constraints are
-    not enforced on scanned values, so axes may sweep through regions a
-    strict validate would reject.
+    each bracketing pair down to ``resolution``, which must be > 0.
+    Parameter constraints are not enforced on scanned values, so axes may
+    sweep through regions a strict validate would reject.
     """
+    if not resolution > 0.0:
+        raise ValidationError([f"resolution must be > 0, got {resolution}"])
 
     def max_real(val):
         _, _, l1, l2 = _linear_part(with_param(spec, axis, val), at_time)
@@ -162,18 +190,15 @@ def hopf_scan(
     crossings = [float(values[i]) for i in range(steps) if f[i] == 0.0]
     for i in range(steps - 1):
         if f[i] * f[i + 1] < 0.0:
-            a, b = float(values[i]), float(values[i + 1])
-            fa = f[i]
-            while b - a > resolution:
-                mid = 0.5 * (a + b)
-                fm = max_real(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fm > 0.0) == (fa > 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
+            a, _, b, _ = bisect_sign(
+                max_real,
+                float(values[i]),
+                f[i],
+                float(values[i + 1]),
+                f[i + 1],
+                resolution,
+                stop_at_zero=True,
+            )
             crossings.append(0.5 * (a + b))
     crossings.sort()
     deduped: list[float] = []
@@ -211,24 +236,25 @@ class LyapunovEstimate:
 
 
 def _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction):
-    validate(spec)
-    if cfg.method != "rk4":
-        raise ValueError("exponent estimation runs on the fixed rk4 grid; method must be rk4")
+    """Check the run and lay out its epochs: the packed spec, the grid
+    arguments (h, n, renorm_steps, transient_steps) in kernel order, and the
+    two convergence buffers."""
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
-    n, h = grid_steps(initial.t, cfg.t_end, cfg.dt)
+    P, n, h = checked_run(spec, initial, cfg, "exponent estimation")
     if renorm_interval is None:
         renorm_steps = RENORM_STEPS_DEFAULT
     else:
         renorm_steps = int(round(renorm_interval / h))
     renorm_steps = min(max(renorm_steps, 1), n)
-    transient_steps = int(round(transient_fraction * n))
     # keep at least one accumulation epoch
-    transient_steps = min(transient_steps, n - renorm_steps)
-    return n, h, renorm_steps, max(transient_steps, 0)
+    transient_steps = max(min(int(round(transient_fraction * n)), n - renorm_steps), 0)
+    ncap = n // renorm_steps + 2
+    return P, (h, n, renorm_steps, transient_steps), (np.empty(ncap), np.empty(ncap))
 
 
-def _finish(spec, initial, method, status, lam, nconv, fail_t, t_acc, conv_t, conv_lam):
+def _finish(spec, initial, method, result, conv):
+    status, lam, nconv, fail_t, t_acc = result
     if status == _k.DIVERGED:
         raise DivergedTrajectory(fail_t)
     if status == _k.DEGENERATE:
@@ -242,8 +268,8 @@ def _finish(spec, initial, method, status, lam, nconv, fail_t, t_acc, conv_t, co
         lam=float(lam),
         method=method,
         transient_skipped=float(t_acc - initial.t),
-        convergence_t=conv_t[:nconv].copy(),
-        convergence=conv_lam[:nconv].copy(),
+        convergence_t=conv[0][:nconv].copy(),
+        convergence=conv[1][:nconv].copy(),
     )
 
 
@@ -263,29 +289,18 @@ def lyapunov_two_trajectory(
     """
     if not D0_MIN <= d0 <= D0_MAX:
         raise ValueError(f"d0 must lie in [{D0_MIN:g}, {D0_MAX:g}], got {d0:g}")
-    n, h, renorm_steps, transient_steps = _lyapunov_grid(
-        spec, initial, cfg, renorm_interval, transient_fraction
-    )
-    ncap = n // renorm_steps + 2
-    conv_t = np.empty(ncap)
-    conv_lam = np.empty(ncap)
-    status, lam, nconv, fail_t, t_acc = _k.benettin(
-        pack_spec(spec),
+    P, grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
+    result = _k.benettin(
+        P,
         initial.t,
         initial.x,
         initial.v,
-        h,
-        n,
-        renorm_steps,
-        transient_steps,
+        *grid,
         d0,
         cfg.blowup_threshold,
-        conv_t,
-        conv_lam,
+        *conv,
     )
-    return _finish(
-        spec, initial, "two_trajectory", status, lam, nconv, fail_t, t_acc, conv_t, conv_lam
-    )
+    return _finish(spec, initial, "two_trajectory", result, conv)
 
 
 def lyapunov_variational(
@@ -304,27 +319,16 @@ def lyapunov_variational(
     ux0, uv0 = float(tangent0[0]), float(tangent0[1])
     if ux0 == 0.0 and uv0 == 0.0:
         raise ValueError("tangent0 must be a nonzero vector")
-    n, h, renorm_steps, transient_steps = _lyapunov_grid(
-        spec, initial, cfg, renorm_interval, transient_fraction
-    )
-    ncap = n // renorm_steps + 2
-    conv_t = np.empty(ncap)
-    conv_lam = np.empty(ncap)
-    status, lam, nconv, fail_t, t_acc = _k.variational(
-        pack_spec(spec),
+    P, grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
+    result = _k.variational(
+        P,
         initial.t,
         initial.x,
         initial.v,
         ux0,
         uv0,
-        h,
-        n,
-        renorm_steps,
-        transient_steps,
+        *grid,
         cfg.blowup_threshold,
-        conv_t,
-        conv_lam,
+        *conv,
     )
-    return _finish(
-        spec, initial, "variational", status, lam, nconv, fail_t, t_acc, conv_t, conv_lam
-    )
+    return _finish(spec, initial, "variational", result, conv)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import lyapunov_two_trajectory, lyapunov_variational
+from .analysis import bisect_sign, lyapunov_two_trajectory, lyapunov_variational
 from .errors import (
     DivergedTrajectory,
     Indeterminate,
@@ -100,8 +100,8 @@ class Axis:
 class PoincareSection:
     """Post-transient section hits.
 
-    points has two columns: (x, v) for stroboscopic sections, (t, x) for
-    velocity-zero sections.
+    points has the two columns named by columns: (x, v) for stroboscopic
+    sections, (t, x) for velocity-zero sections.
     """
 
     spec: SystemSpec
@@ -109,15 +109,14 @@ class PoincareSection:
     points: np.ndarray
     transient_fraction: float
     status: str
+    columns: tuple[str, str]
 
     def __len__(self):
         return len(self.points)
 
     def x_coords(self) -> np.ndarray:
         """Position coordinate of each hit, whichever column that is."""
-        if isinstance(self.section, Stroboscopic):
-            return self.points[:, 0]
-        return self.points[:, 1]
+        return self.points[:, self.columns.index("x")]
 
 
 def poincare(
@@ -139,24 +138,24 @@ def poincare(
             raise SectionMismatch(
                 "stroboscopic sections need the periodically forced form B with delta != 0"
             )
-    elif not isinstance(section, VelocityZeroCrossing):
+        columns = ("x", "v")
+    elif isinstance(section, VelocityZeroCrossing):
+        columns = ("t", "x")
+    else:
         raise TypeError(f"unsupported section type {type(section).__name__}")
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
     traj, events = integrate_with_events(spec, initial, cfg, section)
     t_cut = initial.t + transient_fraction * (cfg.t_end - initial.t)
     keep = events.t >= t_cut
-    if isinstance(section, Stroboscopic):
-        points = np.column_stack((events.x[keep], events.v[keep]))
-    else:
-        points = np.column_stack((events.t[keep], events.x[keep]))
+    points = np.column_stack([getattr(events, name)[keep] for name in columns])
     if traj.status != COMPLETED:
         status = CELL_DIVERGED
     elif len(points) == 0:
         status = CELL_EMPTY
     else:
         status = CELL_OK
-    return PoincareSection(spec, section, points, transient_fraction, status)
+    return PoincareSection(spec, section, points, transient_fraction, status, columns)
 
 
 def cluster_count(points: np.ndarray, radius: float = CLUSTER_RADIUS) -> int:
@@ -375,15 +374,16 @@ def critical_bisect(
     if not tol > 0.0:
         raise ValidationError([f"tolerance must be > 0, got {tol}"])
 
+    probes: list[tuple[float, float]] = []
+
     def probe(val):
         lam, status = lam_at((axis, val))
-        return math.inf if status == CELL_DIVERGED else lam
+        lam = math.inf if status == CELL_DIVERGED else lam
+        probes.append((val, lam))
+        return lam
 
-    probes: list[tuple[float, float]] = []
     lam_lo = probe(lo)
-    probes.append((lo, lam_lo))
     lam_hi = probe(hi)
-    probes.append((hi, lam_hi))
     for val, lam in probes:
         if abs(lam) <= 2.0 * NOISE_FLOOR:
             raise Indeterminate(
@@ -395,16 +395,7 @@ def critical_bisect(
             f"lambda has the same sign at both ends: lambda({lo:g}) = {lam_lo:.4g}, "
             f"lambda({hi:g}) = {lam_hi:.4g}"
         )
-    a, fa = lo, lam_lo
-    b, fb = hi, lam_hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = probe(mid)
-        probes.append((mid, fm))
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
+    a, fa, b, fb = bisect_sign(probe, lo, lam_lo, hi, lam_hi, tol)
     return CriticalSet(
         spec=spec,
         axis=axis,

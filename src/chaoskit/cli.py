@@ -54,7 +54,6 @@ from .model import (
     Params,
     State,
     SystemSpec,
-    validate,
 )
 
 
@@ -84,7 +83,7 @@ _SYSTEM_FLAGS = (
     ("--g-w", dict(type=float, help="Sine preset frequency w")),
     ("--epsilon", dict(choices=("Zero", "Constant", "PowerLaw"), help="regularization schedule")),
     ("--epsilon-c", dict(type=float, help="constant value or power-law coefficient")),
-    ("--epsilon-p", dict(type=float, help="power-law exponent (defaults to --p)")),
+    ("--epsilon-p", dict(type=float, help="power-law exponent (default 2)")),
 )
 _INTEGRATOR_FLAGS = tuple(
     (
@@ -266,9 +265,7 @@ COMMANDS = {
         ),
         lambda out, section, m: _io.write_poincare_csv(out, section, m),
         lambda section, opts: (
-            {"x": section.points[:, 0], "v": section.points[:, 1]}
-            if opts["section"] == "strobo"
-            else {"t": section.points[:, 0], "x": section.points[:, 1]},
+            dict(zip(section.columns, section.points.T)),
             {"status": section.status},
         ),
     ),
@@ -371,7 +368,7 @@ def _build_spec(args) -> SystemSpec:
     elif eps_variant == "PowerLaw":
         eps = EpsilonSchedule.power_law(
             args.epsilon_c if args.epsilon_c is not None else 1.0,
-            args.epsilon_p if args.epsilon_p is not None else params.p,
+            args.epsilon_p if args.epsilon_p is not None else EpsilonSchedule.p,
         )
     else:
         eps = EpsilonSchedule.zero()
@@ -410,14 +407,13 @@ def execute(manifest: dict, out: str, plot_out: str | None = None):
         raise ValidationError([f"unknown command {name!r}"])
     spec = SystemSpec.from_dict(manifest["spec"])
     opts = manifest["options"]
-    # hopf scans the linearization and may sweep through regions a strict
-    # validate would reject
+    # every integrating runner checks its run on entry; hopf scans the
+    # linearization and may sweep through regions a strict validate would reject
     initial = cfg = None
     if command.runs:
         ini = manifest["initial"]
         initial = State(float(ini["t"]), float(ini["x"]), float(ini["v"]))
         cfg = IntegratorConfig(**manifest["integrator"])
-        validate(spec, t0=initial.t)
     result = command.run(spec, opts, initial, cfg)
     command.write(out, result, manifest)
     if plot_out:

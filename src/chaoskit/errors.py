@@ -5,11 +5,12 @@ class ChaoskitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ValidationError(ChaoskitError):
+class ValidationError(ChaoskitError, ValueError):
     """One or more parameter constraints were violated.
 
     Carries the full list of violations in ``messages`` so callers can
-    report every problem at once instead of the first one found.
+    report every problem at once instead of the first one found.  It is
+    also a ValueError, so callers catching bad arguments by that type see it.
     """
 
     def __init__(self, messages):

@@ -135,59 +135,32 @@ def grid_steps(t0: float, t_end: float, dt: float) -> tuple[int, float]:
     return n, span / n
 
 
-def _check_run(spec, initial, cfg):
-    _check_time(spec, initial.t)
+def checked_run(spec: SystemSpec, initial: State, cfg: IntegratorConfig, grid_user=None):
+    """Check a run and return (P, n, h): the packed spec and the snapped grid.
+
+    The spec must validate, the start time must not be singular and dt must
+    fit inside the span.  ``grid_user`` names a caller that needs the fixed
+    rk4 grid; for it the method must be rk4.
+    """
+    if grid_user is not None and cfg.method != "rk4":
+        raise ValidationError([f"{grid_user} runs on the fixed rk4 grid; method must be rk4"])
     validate(spec)
+    _check_time(spec, initial.t)
     if not cfg.dt < cfg.t_end - initial.t:
         raise ValidationError(
             [f"dt = {cfg.dt} must be smaller than the span t_end - t0 = {cfg.t_end - initial.t}"]
         )
+    return (pack_spec(spec), *grid_steps(initial.t, cfg.t_end, cfg.dt))
 
 
-def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate from the initial state to cfg.t_end.
+def _buffers(size):
+    return np.empty(size), np.empty(size), np.empty(size)
 
-    The first sample is the initial state and, for a completed run, the last
-    sample sits exactly at t_end.  Divergence at the initial state itself is
-    reported as a diverged trajectory holding that single sample.
-    """
-    _check_run(spec, initial, cfg)
-    P = pack_spec(spec)
-    if cfg.method == "rk4":
-        n, h = grid_steps(initial.t, cfg.t_end, cfg.dt)
-        nalloc = n // cfg.sample_every + 3
-        out_t = np.empty(nalloc)
-        out_x = np.empty(nalloc)
-        out_v = np.empty(nalloc)
-        status, m, fail_t = _k.rk4_trajectory(
-            P,
-            initial.t,
-            initial.x,
-            initial.v,
-            h,
-            n,
-            cfg.sample_every,
-            cfg.blowup_threshold,
-            out_t,
-            out_x,
-            out_v,
-        )
-        t, x, v = out_t[:m].copy(), out_x[:m].copy(), out_v[:m].copy()
-    else:
-        status, t, x, v, fail_t = _k.rkf45_trajectory(
-            P,
-            initial.t,
-            initial.x,
-            initial.v,
-            cfg.t_end,
-            cfg.dt,
-            cfg.abs_tol,
-            cfg.rel_tol,
-            cfg.sample_every,
-            cfg.blowup_threshold,
-            1e-12 * cfg.dt,
-        )
-        t, x, v = t.copy(), x.copy(), v.copy()
+
+def _trajectory(spec, cfg, status, fail_t, t, x, v, m=None):
+    """Trajectory from kernel output: the first m samples (all by default),
+    with a completed run's last time snapped exactly onto t_end."""
+    t, x, v = t[:m].copy(), x[:m].copy(), v[:m].copy()
     if status == _k.OK:
         t[-1] = cfg.t_end
     return Trajectory(
@@ -198,6 +171,44 @@ def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajec
         _STATUS_NAMES[int(status)],
         None if status == _k.OK else float(fail_t),
     )
+
+
+def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate from the initial state to cfg.t_end.
+
+    The first sample is the initial state and, for a completed run, the last
+    sample sits exactly at t_end.  Divergence at the initial state itself is
+    reported as a diverged trajectory holding that single sample.
+    """
+    P, n, h = checked_run(spec, initial, cfg)
+    if cfg.method == "rk4":
+        out = _buffers(n // cfg.sample_every + 3)
+        status, m, fail_t = _k.rk4_trajectory(
+            P,
+            initial.t,
+            initial.x,
+            initial.v,
+            h,
+            n,
+            cfg.sample_every,
+            cfg.blowup_threshold,
+            *out,
+        )
+        return _trajectory(spec, cfg, status, fail_t, *out, m)
+    status, t, x, v, fail_t = _k.rkf45_trajectory(
+        P,
+        initial.t,
+        initial.x,
+        initial.v,
+        cfg.t_end,
+        cfg.dt,
+        cfg.abs_tol,
+        cfg.rel_tol,
+        cfg.sample_every,
+        cfg.blowup_threshold,
+        1e-12 * cfg.dt,
+    )
+    return _trajectory(spec, cfg, status, fail_t, t, x, v)
 
 
 _DIRECTIONS = {"rising": 1, "falling": -1, "any": 0}
@@ -213,72 +224,33 @@ def integrate_with_events(
     requires the rk4 method; the adaptive integrator does not carry the
     uniform grid the localization leans on.
     """
-    if cfg.method != "rk4":
-        raise ValidationError(["event recording requires the rk4 method"])
-    _check_run(spec, initial, cfg)
-    P = pack_spec(spec)
-    n, h = grid_steps(initial.t, cfg.t_end, cfg.dt)
-    nalloc = n // cfg.sample_every + 3
-    out_t = np.empty(nalloc)
-    out_x = np.empty(nalloc)
-    out_v = np.empty(nalloc)
+    P, n, h = checked_run(spec, initial, cfg, "event recording")
     if isinstance(event, Stroboscopic):
+        kernel = _k.rk4_events_strobo
+        event_args = (event.period, event.phase)
         ne_cap = int((cfg.t_end - initial.t) / event.period) + 3
-        ev_t = np.empty(ne_cap)
-        ev_x = np.empty(ne_cap)
-        ev_v = np.empty(ne_cap)
-        status, m, ne, fail_t = _k.rk4_events_strobo(
-            P,
-            initial.t,
-            initial.x,
-            initial.v,
-            h,
-            n,
-            cfg.sample_every,
-            cfg.blowup_threshold,
-            event.period,
-            event.phase,
-            out_t,
-            out_x,
-            out_v,
-            ev_t,
-            ev_x,
-            ev_v,
-        )
     elif isinstance(event, VelocityZeroCrossing):
+        kernel = _k.rk4_events_vzero
+        event_args = (_DIRECTIONS[event.direction],)
         ne_cap = n + 2
-        ev_t = np.empty(ne_cap)
-        ev_x = np.empty(ne_cap)
-        ev_v = np.empty(ne_cap)
-        status, m, ne, fail_t = _k.rk4_events_vzero(
-            P,
-            initial.t,
-            initial.x,
-            initial.v,
-            h,
-            n,
-            cfg.sample_every,
-            cfg.blowup_threshold,
-            _DIRECTIONS[event.direction],
-            out_t,
-            out_x,
-            out_v,
-            ev_t,
-            ev_x,
-            ev_v,
-        )
     else:
         raise TypeError(f"unsupported event type {type(event).__name__}")
-    t, x, v = out_t[:m].copy(), out_x[:m].copy(), out_v[:m].copy()
-    if status == _k.OK:
-        t[-1] = cfg.t_end
-    traj = Trajectory(
-        spec,
-        t,
-        x,
-        v,
-        _STATUS_NAMES[int(status)],
-        None if status == _k.OK else float(fail_t),
+    out = _buffers(n // cfg.sample_every + 3)
+    ev_t, ev_x, ev_v = _buffers(ne_cap)
+    status, m, ne, fail_t = kernel(
+        P,
+        initial.t,
+        initial.x,
+        initial.v,
+        h,
+        n,
+        cfg.sample_every,
+        cfg.blowup_threshold,
+        *event_args,
+        *out,
+        ev_t,
+        ev_x,
+        ev_v,
     )
     events = EventRecord(ev_t[:ne].copy(), ev_x[:ne].copy(), ev_v[:ne].copy())
-    return traj, events
+    return _trajectory(spec, cfg, status, fail_t, *out, m), events

@@ -24,7 +24,7 @@ from .chaoscan import (
     PoincareSection,
 )
 from .analysis import EnergyTrace
-from .integrate import Stroboscopic, Trajectory
+from .integrate import Trajectory
 
 FLOAT_FMT = "%.17g"
 
@@ -83,11 +83,10 @@ def write_energy_csv(path, trace: EnergyTrace, manifest: dict):
 
 
 def write_poincare_csv(path, section: PoincareSection, manifest: dict):
-    header = "x,v" if isinstance(section.section, Stroboscopic) else "t,x"
     _write_csv(
         path,
         manifest,
-        header,
+        ",".join(section.columns),
         ((fmt(a), fmt(b)) for a, b in section.points),
     )
 

@@ -44,7 +44,6 @@ class Params:
     delta : forcing amplitude
     omega : forcing frequency, must be > 0 whenever delta != 0
     q     : decay exponent of the 1/t^q terms, >= 0
-    p     : default decay exponent for power-law regularization, >= 0
     n     : integer degree of the form-B polynomial forcing, >= 1
     """
 
@@ -54,7 +53,6 @@ class Params:
     delta: float = 0.0
     omega: float = 1.0
     q: float = 0.0
-    p: float = 2.0
     n: int = 2
 
 
@@ -65,7 +63,7 @@ PARAM_NAMES = tuple(PARAM_TYPES)
 @dataclass(frozen=True)
 class Nonlinearity:
     """Restoring-force preset g(u).  Every preset has g(0) = 0 and an
-    analytic slope, which the tangent dynamics rely on."""
+    analytic slope (``_kernels.g_slope``), which the tangent dynamics rely on."""
 
     variant: str = "Zero"
     k: float = 1.0
@@ -95,16 +93,6 @@ class Nonlinearity:
             return self.k * u**3
         if self.variant == "Sine":
             return self.k * np.sin(self.w * u)
-        return np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
-
-    def slope(self, u):
-        """g'(u); accepts scalars or arrays."""
-        if self.variant == "Linear":
-            return np.full_like(u, self.k) if isinstance(u, np.ndarray) else self.k
-        if self.variant == "Cubic":
-            return 3.0 * self.k * u**2
-        if self.variant == "Sine":
-            return self.k * self.w * np.cos(self.w * u)
         return np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
 
     def to_dict(self):
@@ -298,14 +286,14 @@ def accel_array(spec: SystemSpec, t, x, v) -> np.ndarray:
     return _k.rhs_array(t, x, v, pack_spec(spec))
 
 
-def validate(spec: SystemSpec, t0: float | None = None, theorem_mode: bool = False) -> SystemSpec:
+def validate(spec: SystemSpec, theorem_mode: bool = False) -> SystemSpec:
     """Check every parameter constraint and return the spec unchanged.
 
     All violations are collected into a single ValidationError (attribute
-    ``messages``).  ``t0`` lets callers reject start times where the system
-    is singular; ``theorem_mode`` additionally enforces the conditions under
-    which the decay guarantee for form B holds (n >= 2 and, for power-law
-    regularization, p > q + 1).
+    ``messages``).  ``theorem_mode`` additionally enforces the conditions
+    under which the decay guarantee for form B holds (n >= 2 and, for
+    power-law regularization, p > q + 1).  A singular start time is a
+    property of the run, not the spec; the integrators reject it.
     """
     msgs = []
     p = spec.params
@@ -321,8 +309,6 @@ def validate(spec: SystemSpec, t0: float | None = None, theorem_mode: bool = Fal
         msgs.append(f"omega must be > 0 when delta != 0, got {p.omega}")
     if p.q < 0.0:
         msgs.append(f"q must be >= 0, got {p.q}")
-    if p.p < 0.0:
-        msgs.append(f"p must be >= 0, got {p.p}")
     if int(p.n) != p.n or p.n < 1:
         msgs.append(f"n must be an integer >= 1, got {p.n}")
     if theorem_mode and p.n < 2:
@@ -345,15 +331,6 @@ def validate(spec: SystemSpec, t0: float | None = None, theorem_mode: bool = Fal
             msgs.append(
                 f"the decay guarantee needs the regularization to fade faster than "
                 f"the damping: p > q + 1, got p = {eps.p}, q = {p.q}"
-            )
-    if t0 is not None:
-        if spec.form in (FORM_A1, FORM_A2) and p.q > 0.0 and t0 <= 0.0:
-            msgs.append(
-                f"forms A1/A2 with q > 0 are singular at t <= 0; start time {t0} is invalid"
-            )
-        if eps.variant == "PowerLaw" and eps.p > 0.0 and t0 <= 0.0:
-            msgs.append(
-                f"power-law regularization is singular at t <= 0; start time {t0} is invalid"
             )
     if msgs:
         raise ValidationError(msgs)

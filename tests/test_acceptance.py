@@ -206,7 +206,7 @@ def test_criterion_7_regularized_transplant_stays_bounded():
         spec = SystemSpec(
             form=FORM_A2,
             params=Params(alpha=0.4, beta=64.0, gamma=1.0, delta=SWEEP.params.delta,
-                          omega=16.0, q=1.0, p=p),
+                          omega=16.0, q=1.0),
             nonlinearity=Nonlinearity.cubic(k),
             epsilon=EpsilonSchedule.power_law(0.4, p),
         )

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoskit import analysis
 from chaoskit import (
     DivergedTrajectory,
     EpsilonSchedule,
@@ -20,6 +21,7 @@ from chaoskit import (
     InvalidAxis,
     Nonlinearity,
     Params,
+    SingularTime,
     State,
     SystemSpec,
     ValidationError,
@@ -39,7 +41,7 @@ FULL_B = SystemSpec(
 )
 REGULARIZED = SystemSpec(
     form=FORM_A2,
-    params=Params(alpha=0.5, beta=0.4, gamma=0.3, delta=0.2, omega=1.5, q=1.0, p=2.0),
+    params=Params(alpha=0.5, beta=0.4, gamma=0.3, delta=0.2, omega=1.5, q=1.0),
     epsilon=EpsilonSchedule.power_law(0.6, 2.0),
 )
 
@@ -170,6 +172,35 @@ def test_hopf_scan_reports_no_crossing_on_stable_range():
     assert hopf_scan(spec, "alpha", 0.1, 1.0) == []
 
 
+@pytest.mark.parametrize("resolution", [0.0, 1e-300])
+def test_hopf_scan_stops_when_the_bracket_cannot_split(monkeypatch, resolution):
+    # the stiffness g_k + delta * omega changes sign near delta = -0.54; once
+    # the bracket is two adjacent floats it cannot narrow further, so the
+    # search must stop there on its own (or refuse a resolution of 0)
+    spec = SystemSpec(
+        form=FORM_A2,
+        params=Params(alpha=0.47851442274776057, beta=0.0, q=1.0, omega=3.1528404102910588),
+        nonlinearity=Nonlinearity.linear(1.7044015178975915),
+    )
+    linear_part = analysis._linear_part
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise RuntimeError("bisection does not terminate")
+        return linear_part(*args)
+
+    monkeypatch.setattr(analysis, "_linear_part", counted)
+    if resolution == 0.0:
+        with pytest.raises(ValidationError):
+            hopf_scan(spec, "delta", -3.0, 3.0, at_time=1.7, resolution=resolution)
+        assert calls == []
+    else:
+        crossings = hopf_scan(spec, "delta", -3.0, 3.0, at_time=1.7, resolution=resolution)
+        assert len(crossings) == 1
+
+
 def test_hopf_scan_rejects_unknown_axis():
     with pytest.raises(InvalidAxis):
         hopf_scan(LINEAR, "kappa", -1.0, 1.0)
@@ -220,6 +251,14 @@ def test_estimators_require_fixed_grid():
     cfg = IntegratorConfig(method="rkf45", dt=1e-2, t_end=10.0)
     with pytest.raises(ValueError):
         lyapunov_variational(LINEAR, INI, cfg)
+
+
+@pytest.mark.parametrize("fn", [lyapunov_variational, lyapunov_two_trajectory])
+def test_estimators_reject_a_singular_start(fn):
+    # 1/t^q is singular at t0 = 0; the run is refused before it starts
+    spec = SystemSpec(form=FORM_A1, params=Params(alpha=0.5, beta=1.0, q=1.0))
+    with pytest.raises(SingularTime):
+        fn(spec, INI, IntegratorConfig(method="rk4", dt=1e-2, t_end=2.0))
 
 
 def test_escaping_cell_raises_diverged_trajectory():

@@ -43,6 +43,15 @@ def run(args):
     return main(args)
 
 
+def _without_manifest(path):
+    text = path.read_text()
+    if text.startswith("#"):
+        return text.split("\n", 1)[1]
+    doc = json.loads(text)
+    del doc["manifest"]
+    return doc
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = run(["simulate", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "10",
@@ -77,13 +86,15 @@ def test_rerun_from_manifest_reproduces_bytes(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["simulate", "hopf"])
 def test_rerun_keeps_dropped_manifest_fields(tmp_path, command):
-    # manifests once carried "seed": null, and hopf's the run settings it
-    # never read; artifacts holding them still rerun to the same bytes
+    # manifests once carried "seed": null and the unread params.p, and hopf
+    # manifests the run settings it never read; artifacts holding them still
+    # rerun to the same bytes
     out = tmp_path / "new"
     assert run(EVERY_COMMAND[command][0] + ["--out", str(out)]) == 0
     manifest = read_manifest(out)
-    assert "seed" not in manifest
-    old_manifest = dict(manifest, seed=None)
+    assert "seed" not in manifest and "p" not in manifest["spec"]["params"]
+    old_spec = dict(manifest["spec"], params=dict(manifest["spec"]["params"], p=2.0))
+    old_manifest = dict(manifest, seed=None, spec=old_spec)
     if command == "hopf":
         assert "initial" not in manifest and "integrator" not in manifest
         old_manifest["initial"] = {"t": 0.0, "x": 1.0, "v": 0.0}
@@ -93,6 +104,8 @@ def test_rerun_keeps_dropped_manifest_fields(tmp_path, command):
     rerun(str(old), str(again))
     assert read_manifest(old) == old_manifest
     assert old.read_bytes() == again.read_bytes()
+    # the old fields change nothing but the manifest
+    assert _without_manifest(old) == _without_manifest(out)
 
 
 def test_simulate_diverged_is_still_success(tmp_path):
@@ -232,6 +245,19 @@ def test_usage_failure_exits_one(tmp_path):
     # hopf takes no run flags, and no command takes --seed
     assert run(EVERY_COMMAND["hopf"][0] + ["--dt", "1e-3", "--out", str(tmp_path / "h.json")]) == 1
     assert run(EVERY_COMMAND["simulate"][0] + ["--seed", "1", "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_map_through_a_singular_start_exits_one(tmp_path, capsys):
+    # the q = 1 row starts on the 1/t^q singularity at t0 = 0: the run is
+    # refused, not reported as diverged cells
+    out = tmp_path / "map.csv"
+    code = run(["map", "--form", "A1", "--alpha", "0.5", "--beta", "1", "--t0", "0",
+                "--axis1", "q", "--lo1", "0", "--hi1", "1", "--steps1", "2",
+                "--axis2", "alpha", "--lo2", "0.4", "--hi2", "0.5", "--steps2", "2",
+                "--t-end", "2", "--dt", "1e-2", "--out", str(out)])
+    assert code == 1
+    assert "singular" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spec_json_conflicts_with_inline_flags(tmp_path):

@@ -6,6 +6,7 @@ acceleration itself, so the Jacobian code has an independent oracle.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +94,13 @@ def test_accel_a2_hand_value():
     assert accel(A2_SPEC, State(t, x, v)) == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize("spec", [A1_SPEC, A2_SPEC, B_SPEC])
+# with A1_SPEC (Cubic) and A2_SPEC (Sine), one A-form spec per preset, so the
+# kernel's g slope is checked for each
+A1_LINEAR = replace(A1_SPEC, nonlinearity=Nonlinearity.linear(0.7))
+A2_ZERO = replace(A2_SPEC, nonlinearity=Nonlinearity.zero())
+
+
+@pytest.mark.parametrize("spec", [A1_SPEC, A2_SPEC, B_SPEC, A1_LINEAR, A2_ZERO])
 @pytest.mark.parametrize("point", [(1.3, 0.9, -0.4), (2.7, -1.1, 0.6), (5.0, 0.2, 0.0)])
 def test_tangent_matches_finite_differences(spec, point):
     t, x, v = point
@@ -115,22 +122,6 @@ def test_accel_array_matches_scalar():
     a = accel_array(A2_SPEC, t, x, v)
     for i in range(3):
         assert a[i] == pytest.approx(accel(A2_SPEC, State(t[i], x[i], v[i])), rel=1e-15)
-
-
-@pytest.mark.parametrize(
-    "g",
-    [
-        Nonlinearity.zero(),
-        Nonlinearity.linear(0.7),
-        Nonlinearity.cubic(-0.4),
-        Nonlinearity.sine(1.2, 3.0),
-    ],
-)
-def test_nonlinearity_slope_matches_finite_differences(g):
-    h = 1e-6
-    for u in (-1.4, 0.0, 0.9):
-        fd = (g.value(u + h) - g.value(u - h)) / (2 * h)
-        assert g.slope(u) == pytest.approx(fd, abs=1e-8)
 
 
 def test_epsilon_integral_matches_quadrature():
@@ -163,7 +154,10 @@ def test_with_param_swaps_one_field():
     assert with_param(B_SPEC, "n", 4.0).params.n == 4
     with pytest.raises(InvalidAxis):
         with_param(B_SPEC, "zeta", 1.0)
-    assert set(PARAM_NAMES) >= {"alpha", "beta", "gamma", "delta", "omega", "q", "p", "n"}
+    # the power-law exponent lives on EpsilonSchedule, not Params
+    with pytest.raises(InvalidAxis):
+        with_param(B_SPEC, "p", 1)
+    assert set(PARAM_NAMES) == {"alpha", "beta", "gamma", "delta", "omega", "q", "n"}
 
 
 def test_state_rejects_non_finite():
@@ -193,23 +187,17 @@ def test_validate_theorem_mode_requires_fast_decay():
     # p must exceed q + 1 for the regularization to fade faster than the damping
     spec = SystemSpec(
         form=FORM_A2,
-        params=Params(alpha=0.4, beta=1.0, q=1.0, p=1.5),
+        params=Params(alpha=0.4, beta=1.0, q=1.0),
         epsilon=EpsilonSchedule.power_law(0.4, 1.5),
     )
     with pytest.raises(ValidationError):
         validate(spec, theorem_mode=True)
     ok = SystemSpec(
         form=FORM_A2,
-        params=Params(alpha=0.4, beta=1.0, q=1.0, p=2.5, n=2),
+        params=Params(alpha=0.4, beta=1.0, q=1.0, n=2),
         epsilon=EpsilonSchedule.power_law(0.4, 2.5),
     )
     validate(ok, theorem_mode=True)
-
-
-def test_validate_flags_singular_start():
-    with pytest.raises(ValidationError):
-        validate(A1_SPEC, t0=0.0)
-    validate(A1_SPEC, t0=1.0)
 
 
 def test_accel_raises_at_singular_time():
