@@ -65,8 +65,6 @@ def energy_trace(traj: Trajectory) -> EnergyTrace:
     t, x, v = traj.t, traj.x, traj.v
     a = accel_array(spec, t, x, v)
     eps = spec.epsilon.value(t)
-    if not isinstance(eps, np.ndarray):
-        eps = np.full_like(t, eps)
     V = 0.5 * (v * v + x * x)
     V_dot_exact = v * a + x * v
     if spec.form == FORM_B:
@@ -81,8 +79,6 @@ def energy_trace(traj: Trajectory) -> EnergyTrace:
             coup = p.gamma + p.beta / tq
     V_reg = 0.5 * v * v + 0.5 * p.beta * x * x + spec.epsilon.integral(t[0], t)
     g_x = spec.nonlinearity.value(x)
-    if not isinstance(g_x, np.ndarray):
-        g_x = np.full_like(x, g_x)
     E = 0.5 * (g_x + coup * v) - g_x.min() + 0.5 * eps * x * x + 0.5 * v * v
     return EnergyTrace(spec, t, V, V_dot_exact, V_dot_paper, V_reg, E)
 

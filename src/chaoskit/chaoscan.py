@@ -334,7 +334,9 @@ class CriticalSet:
 
     probes lists every (value, lambda) pair in evaluation order; the final
     bracket [lo, hi] has opposite-signed exponents and width <= the requested
-    tolerance, and boundary is its midpoint.
+    tolerance, and boundary is its midpoint.  Only the two starting
+    endpoints are held to |lambda| > 2*NOISE_FLOOR; lam_lo and lam_hi of a
+    narrowed bracket come from interior probes and may lie inside that band.
     """
 
     spec: SystemSpec
@@ -365,8 +367,10 @@ def critical_bisect(
 
     Both endpoint exponents must clear twice the noise floor (|lam| >
     2*NOISE_FLOOR), otherwise the sign is untrustworthy and Indeterminate is
-    raised; equal signs raise NoBracket.  A probe whose trajectory escapes
-    counts as unstable.
+    raised; equal signs raise NoBracket.  Only the endpoints are held to that
+    band: the exponent goes to zero at the boundary, so interior probes near
+    it are expected to fall inside the band, and bisection follows their
+    sign.  A probe whose trajectory escapes counts as unstable.
     """
     lam_at = _lambda_probe(spec, initial, cfg, estimator, transient_fraction, estimator_kwargs)
     if not hi > lo:

@@ -2,7 +2,8 @@
 
 Eight subcommands: simulate, energy, lyapunov, hopf, poincare, bifurcation,
 map, critical.  Each one writes a single artifact carrying its manifest, and
-``rerun`` reproduces any artifact byte-for-byte from that manifest alone.
+the library function ``chaoskit.cli.rerun()`` reproduces any artifact
+byte-for-byte from that manifest alone (there is no rerun subcommand).
 
 Exit codes: 0 on success (a diverged trajectory is still data and exits 0
 with its status recorded), 1 for validation problems (reported one per line
@@ -213,24 +214,14 @@ COMMANDS = {
         (),
         lambda spec, opts, initial, cfg: integrate(spec, initial, cfg),
         lambda out, traj, m: _io.write_trajectory_csv(out, traj, m),
-        lambda traj, opts: ({"t": traj.t, "x": traj.x, "v": traj.v}, {"status": traj.status}),
+        lambda traj, opts: (_io.trajectory_columns(traj), {"status": traj.status}),
     ),
     "energy": Command(
         "energy functionals along a trajectory",
         (),
         _energy,
         lambda out, trace, m: _io.write_energy_csv(out, trace, m),
-        lambda trace, opts: (
-            {
-                "t": trace.t,
-                "V": trace.V,
-                "V_dot_exact": trace.V_dot_exact,
-                "V_dot_paper": trace.V_dot_paper,
-                "V_reg": trace.V_reg,
-                "E": trace.E,
-            },
-            {},
-        ),
+        lambda trace, opts: (_io.energy_columns(trace), {}),
     ),
     "lyapunov": Command(
         "largest Lyapunov exponent estimate",
@@ -264,10 +255,7 @@ COMMANDS = {
             spec, initial, cfg, _section_of(opts), float(opts["transient_fraction"])
         ),
         lambda out, section, m: _io.write_poincare_csv(out, section, m),
-        lambda section, opts: (
-            dict(zip(section.columns, section.points.T)),
-            {"status": section.status},
-        ),
+        lambda section, opts: (_io.poincare_columns(section), {"status": section.status}),
     ),
     "bifurcation": Command(
         "section sweep along a parameter axis",

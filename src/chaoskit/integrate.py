@@ -123,10 +123,6 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    @property
-    def final(self) -> State:
-        return State(float(self.t[-1]), float(self.x[-1]), float(self.v[-1]))
-
 
 def grid_steps(t0: float, t_end: float, dt: float) -> tuple[int, float]:
     """Snap dt to the span: the largest n with span/n >= dt (at least 1)."""

@@ -29,10 +29,6 @@ from .integrate import Trajectory
 FLOAT_FMT = "%.17g"
 
 
-def fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
-
-
 def manifest_line(manifest: dict) -> str:
     return "# " + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
@@ -48,64 +44,61 @@ def read_manifest(path) -> dict:
     return payload["manifest"]
 
 
-def _write_csv(path, manifest, header, rows):
+def _write_table(path, head, columns: dict, sep=","):
+    """Write head, the column names joined by sep, then one line per index
+    of the equal-length array columns.  Every row goes through one template:
+    float columns as FLOAT_FMT, text columns (labels, markers) as %s."""
+    row = sep.join(FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in columns.values()) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest_line(manifest) + "\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(head + sep.join(columns) + "\n")
+        fh.writelines(map(row.__mod__, zip(*columns.values(), strict=True)))
+
+
+def _csv_head(manifest):
+    return manifest_line(manifest) + "\n"
+
+
+# The column sets of the trajectory, energy and section files, shared by the
+# CSV writers and the --plot-out files.
+
+
+def trajectory_columns(traj: Trajectory) -> dict:
+    return {"t": traj.t, "x": traj.x, "v": traj.v}
+
+
+def energy_columns(trace: EnergyTrace) -> dict:
+    names = ("t", "V", "V_dot_exact", "V_dot_paper", "V_reg", "E")
+    return {name: getattr(trace, name) for name in names}
+
+
+def poincare_columns(section: PoincareSection) -> dict:
+    return dict(zip(section.columns, section.points.T))
 
 
 def write_trajectory_csv(path, traj: Trajectory, manifest: dict):
-    _write_csv(
-        path,
-        manifest,
-        "t,x,v",
-        (
-            (fmt(t), fmt(x), fmt(v))
-            for t, x, v in zip(traj.t, traj.x, traj.v)
-        ),
-    )
+    _write_table(path, _csv_head(manifest), trajectory_columns(traj))
 
 
 def write_energy_csv(path, trace: EnergyTrace, manifest: dict):
-    _write_csv(
-        path,
-        manifest,
-        "t,V,V_dot_exact,V_dot_paper,V_reg,E",
-        (
-            tuple(fmt(c) for c in row)
-            for row in zip(
-                trace.t, trace.V, trace.V_dot_exact, trace.V_dot_paper, trace.V_reg, trace.E
-            )
-        ),
-    )
+    _write_table(path, _csv_head(manifest), energy_columns(trace))
 
 
 def write_poincare_csv(path, section: PoincareSection, manifest: dict):
-    _write_csv(
-        path,
-        manifest,
-        ",".join(section.columns),
-        ((fmt(a), fmt(b)) for a, b in section.points),
-    )
+    _write_table(path, _csv_head(manifest), poincare_columns(section))
 
 
 def write_bifurcation_csv(path, diagram: BifurcationDiagram, manifest: dict):
     """One row per section point; cells without points keep an explicit
-    marker row (Diverged/Empty) so every parameter value appears."""
-
-    def rows():
-        for val, cell, status in zip(diagram.values, diagram.cells, diagram.statuses):
-            if status == CELL_DIVERGED:
-                yield (fmt(val), "Diverged")
-            elif status == CELL_EMPTY or len(cell) == 0:
-                yield (fmt(val), "Empty")
-            else:
-                for x in cell:
-                    yield (fmt(val), fmt(x))
-
-    _write_csv(path, manifest, "param,x", rows())
+    marker row (Diverged/Empty) so every parameter value appears.  The
+    markers share the x column, so that column is written as text."""
+    xs = [
+        np.array(["Diverged"]) if status == CELL_DIVERGED
+        else np.array(["Empty"]) if status == CELL_EMPTY or len(cell) == 0
+        else np.char.mod(FLOAT_FMT, cell)
+        for cell, status in zip(diagram.cells, diagram.statuses)
+    ]
+    param = np.repeat(diagram.values, [len(x) for x in xs])
+    _write_table(path, _csv_head(manifest), {"param": param, "x": np.concatenate(xs)})
 
 
 def classify_lambda(lam: float, status: str) -> str:
@@ -121,21 +114,16 @@ def classify_lambda(lam: float, status: str) -> str:
 
 def write_lambda_map_csv(path, lmap: LambdaMap, manifest: dict):
     """Row-major over (axis1, axis2); NaN marks diverged cells."""
-
-    def rows():
-        v1 = lmap.axis1.values()
-        v2 = lmap.axis2.values()
-        for i in range(lmap.axis1.steps):
-            for j in range(lmap.axis2.steps):
-                lam = lmap.lam[i, j]
-                yield (
-                    fmt(v1[i]),
-                    fmt(v2[j]),
-                    fmt(lam),
-                    classify_lambda(lam, lmap.statuses[i][j]),
-                )
-
-    _write_csv(path, manifest, "axis1,axis2,lambda,status", rows())
+    v1, v2 = np.meshgrid(lmap.axis1.values(), lmap.axis2.values(), indexing="ij")
+    lam = lmap.lam.ravel()
+    statuses = [status for row in lmap.statuses for status in row]
+    columns = {
+        "axis1": v1.ravel(),
+        "axis2": v2.ravel(),
+        "lambda": lam,
+        "status": np.array([classify_lambda(*cell) for cell in zip(lam, statuses)]),
+    }
+    _write_table(path, _csv_head(manifest), columns)
 
 
 def write_json(path, payload: dict, manifest: dict):
@@ -163,15 +151,9 @@ def critical_payload(crit: CriticalSet) -> dict:
 def emit_plotdata(path, columns: dict, meta: dict):
     """Write a whitespace-separated data file gnuplot can plot directly,
     plus a .meta.json sidecar describing the columns."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k], dtype=float) for k in names]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + " ".join(names) + "\n")
-        if arrays:
-            for row in zip(*arrays):
-                fh.write(" ".join(fmt(c) for c in row) + "\n")
+    _write_table(path, "# ", {k: np.asarray(c, dtype=float) for k, c in columns.items()}, sep=" ")
     sidecar = dict(meta)
-    sidecar["columns"] = names
+    sidecar["columns"] = list(columns)
     with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -34,6 +34,11 @@ _G_KINDS = {"Zero": 0, "Linear": 1, "Cubic": 2, "Sine": 3}
 _EPS_KINDS = {"Zero": 0, "Constant": 1, "PowerLaw": 2}
 
 
+def _check_variant(what, variant, kinds):
+    if variant not in kinds:
+        raise ValidationError([f"unknown {what} variant {variant!r}; expected one of {tuple(kinds)}"])
+
+
 @dataclass(frozen=True)
 class Params:
     """Scalar coefficients shared by every form.
@@ -58,6 +63,15 @@ class Params:
 
 PARAM_TYPES = {f.name: type(f.default) for f in fields(Params)}
 PARAM_NAMES = tuple(PARAM_TYPES)
+
+
+def _param_value(name, value):
+    """value cast to the type of Params.<name>; an integer parameter refuses
+    a value with a fractional part instead of truncating it."""
+    kind = PARAM_TYPES[name]
+    if kind is int and not float(value).is_integer():
+        raise ValidationError([f"{name} must be an integer, got {value}"])
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,7 @@ class Nonlinearity:
 
     @classmethod
     def from_dict(cls, d):
+        _check_variant("nonlinearity", d["variant"], _G_KINDS)
         return cls(d["variant"], k=float(d.get("k", 1.0)), w=float(d.get("w", 1.0)))
 
 
@@ -163,6 +178,7 @@ class EpsilonSchedule:
     @classmethod
     def from_dict(cls, d):
         variant = d["variant"]
+        _check_variant("regularization", variant, _EPS_KINDS)
         if variant == "Constant":
             return cls.constant(d["value"])
         if variant == "PowerLaw":
@@ -208,7 +224,7 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, d):
         pd = d.get("params", {})
-        params = Params(**{k: PARAM_TYPES[k](v) for k, v in pd.items() if k in PARAM_TYPES})
+        params = Params(**{k: _param_value(k, v) for k, v in pd.items() if k in PARAM_TYPES})
         nl = Nonlinearity.from_dict(d["nonlinearity"]) if "nonlinearity" in d else Nonlinearity()
         eps = EpsilonSchedule.from_dict(d["epsilon"]) if "epsilon" in d else EpsilonSchedule()
         return cls(form=d.get("form", FORM_B), params=params, nonlinearity=nl, epsilon=eps)
@@ -225,7 +241,7 @@ def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
     """
     if name not in PARAM_NAMES:
         raise InvalidAxis(f"unknown parameter axis {name!r}; expected one of {PARAM_NAMES}")
-    return replace(spec, params=replace(spec.params, **{name: PARAM_TYPES[name](value)}))
+    return replace(spec, params=replace(spec.params, **{name: _param_value(name, value)}))
 
 
 def pack_spec(spec: SystemSpec) -> np.ndarray:

@@ -270,6 +270,44 @@ def test_spec_json_conflicts_with_inline_flags(tmp_path):
     assert ok == 0
 
 
+def test_spec_file_with_fractional_n_exits_one(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"form": "B", "params": {"alpha": 0.5, "beta": 1.0, "n": 2.7}}))
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--spec-json", str(spec_file), "--t-end", "1", "--out", str(out)]) == 1
+    assert "n must be an integer, got 2.7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_map_over_fractional_n_exits_one(tmp_path, capsys):
+    # Axis("n", 1, 3, 6) holds 1.4, 1.8, ...: truncating them would run
+    # n = 1, 1, 1, 2, 2, 3 as six distinct cells
+    out = tmp_path / "map.csv"
+    code = run(["map", *LINEAR, "--axis1", "n", "--lo1", "1", "--hi1", "3", "--steps1", "6",
+                "--axis2", "alpha", "--lo2", "0.4", "--hi2", "0.5", "--steps2", "2",
+                "--t-end", "0.5", "--dt", "1e-2", "--out", str(out)])
+    assert code == 1
+    assert "n must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, variant",
+    [("simulate", "epsilon", "powerlaw"), ("hopf", "epsilon", "powerlaw"),
+     ("hopf", "nonlinearity", "cubic")],
+)
+def test_spec_file_with_unknown_variant_exits_one(tmp_path, capsys, command, key, variant):
+    doc = {"form": "A1", "params": {"alpha": 0.5, "beta": 1.0, "q": 1.0}, key: {"variant": variant}}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(doc))
+    flags = ["--t-end", "2"] if command == "simulate" else ["--axis", "alpha", "--lo", "-1", "--hi", "1"]
+    out = tmp_path / "artifact"
+    assert run([command, "--spec-json", str(spec_file), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"variant '{variant}'" in err[0]
+    assert not out.exists()
+
+
 def test_a_forms_default_to_t0_one(tmp_path):
     out = tmp_path / "a1.csv"
     code = run(["simulate", "--form", "A1", "--alpha", "0.5", "--beta", "0.2", "--q", "1",

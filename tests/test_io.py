@@ -7,12 +7,17 @@ import numpy as np
 
 from chaoskit import (
     Axis,
+    BifurcationDiagram,
+    EnergyTrace,
     FORM_B,
     IntegratorConfig,
+    LambdaMap,
     Params,
+    PoincareSection,
     State,
     Stroboscopic,
     SystemSpec,
+    Trajectory,
     VelocityZeroCrossing,
     bifurcation_sweep,
     integrate,
@@ -23,10 +28,10 @@ from chaoskit import (
 from chaoskit.io import (
     classify_lambda,
     emit_plotdata,
-    fmt,
     manifest_line,
     read_manifest,
     write_bifurcation_csv,
+    write_energy_csv,
     write_json,
     write_lambda_map_csv,
     write_poincare_csv,
@@ -40,10 +45,11 @@ INI = State(0.0, 1.0, 0.0)
 MANIFEST = {"command": "simulate", "spec": json.loads(LINEAR.to_json()), "seed": None}
 
 
-def test_float_format_round_trips_exactly():
+def test_float_format_round_trips_exactly(tmp_path):
     values = [1.0, math.pi, 1e-17, 2.0**-52, 6.25e-4, -45.0, 0.1 + 0.2]
-    for v in values:
-        assert float(fmt(v)) == v
+    path = tmp_path / "values.dat"
+    emit_plotdata(path, {"v": values}, {})
+    assert [float(s) for s in path.read_text().splitlines()[1:]] == values
 
 
 def test_manifest_line_shape():
@@ -130,3 +136,109 @@ def test_emit_plotdata_writes_sidecar(tmp_path):
     meta = json.loads((tmp_path / "plot.dat.meta.json").read_text())
     assert meta["columns"] == ["t", "x"]
     assert meta["kind"] == "trajectory"
+
+
+# Golden texts: hand-built results and the exact bytes each writer owes them.
+NAN, INF = float("nan"), float("inf")
+SMALL = {"command": "test"}
+HEAD = '# {"command":"test"}\n'
+
+
+def test_trajectory_csv_golden_text(tmp_path):
+    traj = Trajectory(
+        LINEAR,
+        np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.4]),
+        np.array([NAN, INF, -INF, -0.0, 5e-324]),
+        np.array([1.0, -2.5, 1e300, 1.0 / 3.0, 0.0]),
+        "completed",
+    )
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj, SMALL)
+    assert path.read_bytes().decode() == (
+        HEAD
+        + "t,x,v\n"
+        "0,nan,1\n"
+        "0.10000000000000001,inf,-2.5\n"
+        "0.20000000000000001,-inf,1.0000000000000001e+300\n"
+        "0.30000000000000004,-0,0.33333333333333331\n"
+        "0.40000000000000002,4.9406564584124654e-324,0\n"
+    )
+
+
+def test_energy_csv_golden_text(tmp_path):
+    trace = EnergyTrace(
+        LINEAR,
+        np.array([0.0, 0.5]),
+        np.array([0.5, 0.25]),
+        np.array([-0.0, -0.125]),
+        np.array([0.0, NAN]),
+        np.array([0.5, 0.1]),
+        np.array([1.0, 2.0]),
+    )
+    path = tmp_path / "energy.csv"
+    write_energy_csv(path, trace, SMALL)
+    assert path.read_bytes().decode() == (
+        HEAD
+        + "t,V,V_dot_exact,V_dot_paper,V_reg,E\n"
+        "0,0.5,-0,0,0.5,1\n"
+        "0.5,0.25,-0.125,nan,0.10000000000000001,2\n"
+    )
+
+
+def test_bifurcation_csv_golden_text(tmp_path):
+    diagram = BifurcationDiagram(
+        FORCED,
+        Axis("gamma", 0.25, 0.75, 3),
+        np.array([0.25, 0.5, 0.75]),
+        [np.array([]), np.array([]), np.array([0.1, -1.5])],
+        ["diverged", "empty", "ok"],
+    )
+    path = tmp_path / "bif.csv"
+    write_bifurcation_csv(path, diagram, SMALL)
+    assert path.read_bytes().decode() == (
+        HEAD
+        + "param,x\n"
+        "0.25,Diverged\n"
+        "0.5,Empty\n"
+        "0.75,0.10000000000000001\n"
+        "0.75,-1.5\n"
+    )
+
+
+def test_lambda_map_csv_golden_text(tmp_path):
+    lmap = LambdaMap(
+        LINEAR,
+        Axis("alpha", 0.0, 0.5, 2),
+        Axis("beta", 0.1, 0.2, 2),
+        np.array([[-0.25, NAN], [0.005, 0.5]]),
+        [["ok", "diverged"], ["ok", "ok"]],
+        "variational",
+    )
+    path = tmp_path / "map.csv"
+    write_lambda_map_csv(path, lmap, SMALL)
+    assert path.read_bytes().decode() == (
+        HEAD
+        + "axis1,axis2,lambda,status\n"
+        "0,0.10000000000000001,-0.25,stable\n"
+        "0,0.20000000000000001,nan,diverged\n"
+        "0.5,0.10000000000000001,0.0050000000000000001,indeterminate\n"
+        "0.5,0.20000000000000001,0.5,chaotic\n"
+    )
+
+
+def test_empty_poincare_csv_is_header_only(tmp_path):
+    section = PoincareSection(
+        LINEAR, VelocityZeroCrossing(direction="any"), np.empty((0, 2)), 0.1, "empty", ("t", "x")
+    )
+    path = tmp_path / "section.csv"
+    write_poincare_csv(path, section, SMALL)
+    assert path.read_bytes().decode() == HEAD + "t,x\n"
+
+
+def test_emit_plotdata_golden_text(tmp_path):
+    path = tmp_path / "plot.dat"
+    emit_plotdata(path, {"gamma": [0.0, 0.1], "lambda": np.array([-0.0, INF])}, {"command": "critical"})
+    assert path.read_bytes().decode() == "# gamma lambda\n0 -0\n0.10000000000000001 inf\n"
+    assert (tmp_path / "plot.dat.meta.json").read_bytes().decode() == (
+        '{\n  "columns": [\n    "gamma",\n    "lambda"\n  ],\n  "command": "critical"\n}\n'
+    )

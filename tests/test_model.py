@@ -152,12 +152,37 @@ def test_with_param_swaps_one_field():
     assert s.params.gamma == 2.5
     assert s.params.alpha == B_SPEC.params.alpha
     assert with_param(B_SPEC, "n", 4.0).params.n == 4
+    assert with_param(B_SPEC, "n", 2.0).params.n == 2
     with pytest.raises(InvalidAxis):
         with_param(B_SPEC, "zeta", 1.0)
     # the power-law exponent lives on EpsilonSchedule, not Params
     with pytest.raises(InvalidAxis):
         with_param(B_SPEC, "p", 1)
     assert set(PARAM_NAMES) == {"alpha", "beta", "gamma", "delta", "omega", "q", "n"}
+
+
+def test_integer_parameters_are_never_truncated():
+    for bad in (2.7, 1.4, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            with_param(B_SPEC, "n", bad)
+    doc = json.loads(B_SPEC.to_json())
+    doc["params"]["n"] = 2.7
+    with pytest.raises(ValidationError, match="n must be an integer, got 2.7"):
+        SystemSpec.from_dict(doc)
+    doc["params"]["n"] = 3.0
+    assert SystemSpec.from_dict(doc).params.n == 3
+
+
+@pytest.mark.parametrize(
+    "key, variant",
+    [("nonlinearity", "cubic"), ("epsilon", "powerlaw")],
+)
+def test_from_dict_refuses_unknown_variants(key, variant):
+    doc = json.loads(A1_SPEC.to_json())
+    doc[key] = {"variant": variant}
+    with pytest.raises(ValidationError, match=f"unknown .* variant '{variant}'") as err:
+        SystemSpec.from_dict(doc)
+    assert "expected one of" in str(err.value)
 
 
 def test_state_rejects_non_finite():
