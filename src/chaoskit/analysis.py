@@ -30,6 +30,7 @@ from .errors import (
 from .integrate import COMPLETED, IntegratorConfig, Trajectory, checked_run
 from .model import (
     FORM_B,
+    Axis,
     State,
     SystemSpec,
     accel_array,
@@ -169,8 +170,9 @@ def hopf_scan(
 ) -> list[float]:
     """Parameter values where the leading eigenvalue's real part changes sign.
 
-    Scans ``steps`` evenly spaced values of the named parameter, then bisects
-    each bracketing pair down to ``resolution``, which must be > 0.
+    Scans the ``Axis`` of ``steps`` evenly spaced values of the named
+    parameter (hi > lo, steps >= 2), then bisects each bracketing pair down
+    to ``resolution``, which must be > 0.
     Parameter constraints are not enforced on scanned values, so axes may
     sweep through regions a strict validate would reject.
     """
@@ -181,7 +183,7 @@ def hopf_scan(
         _, _, l1, l2 = _linear_part(with_param(spec, axis, val), at_time)
         return max(l1.real, l2.real)
 
-    values = np.linspace(lo, hi, steps)
+    values = Axis(axis, lo, hi, steps).values()
     f = [max_real(val) for val in values]
     crossings = [float(values[i]) for i in range(steps) if f[i] == 0.0]
     for i in range(steps - 1):

@@ -33,7 +33,7 @@ from .integrate import (
     VelocityZeroCrossing,
     integrate_with_events,
 )
-from .model import FORM_B, State, SystemSpec, with_param
+from .model import FORM_B, Axis, State, SystemSpec, with_param
 
 NOISE_FLOOR = 0.01
 CLUSTER_RADIUS = 1e-2
@@ -75,25 +75,6 @@ def _run_indexed(tasks, order=None):
         for fut in as_completed(futures):
             results[futures[fut]] = fut.result()
     return results
-
-
-@dataclass(frozen=True)
-class Axis:
-    """Evenly spaced scan over one named parameter."""
-
-    name: str
-    lo: float
-    hi: float
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValidationError([f"axis {self.name!r} needs at least 2 steps, got {self.steps}"])
-        if not self.hi > self.lo:
-            raise ValidationError([f"axis {self.name!r} needs hi > lo, got [{self.lo}, {self.hi}]"])
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
 
 
 @dataclass(frozen=True)
@@ -248,7 +229,8 @@ def bifurcation_sweep(
             sec = poincare(
                 with_param(spec, axis.name, val), initial, cfg, section, transient_fraction
             )
-            return sec.x_coords().copy(), sec.status
+            x = np.empty(0) if sec.status == CELL_DIVERGED else sec.x_coords().copy()
+            return x, sec.status
 
         return run
 

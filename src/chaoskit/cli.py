@@ -52,7 +52,6 @@ from .model import (
     PARAM_TYPES,
     EpsilonSchedule,
     Nonlinearity,
-    Params,
     State,
     SystemSpec,
 )
@@ -74,18 +73,23 @@ def _dest(flag):
 
 
 # Flags are (flag, add_argument keywords) pairs.  The inline system flags
-# and the integrator flags are read off Params and IntegratorConfig.
+# and the integrator flags are read off Params, the preset tables and
+# IntegratorConfig.
 _SPEC_FILE_FLAG = ("--spec-json", dict(metavar="FILE", help="read the system from a JSON file"))
 _SYSTEM_FLAGS = (
     ("--form", dict(choices=FORMS)),
     *((f"--{name}", dict(type=kind)) for name, kind in PARAM_TYPES.items()),
-    ("--g", dict(choices=("Zero", "Linear", "Cubic", "Sine"), help="restoring-force preset")),
+    ("--g", dict(choices=tuple(Nonlinearity.VARIANTS), help="restoring-force preset")),
     ("--g-k", dict(type=float, help="preset gain k")),
-    ("--g-w", dict(type=float, help="Sine preset frequency w")),
-    ("--epsilon", dict(choices=("Zero", "Constant", "PowerLaw"), help="regularization schedule")),
-    ("--epsilon-c", dict(type=float, help="constant value or power-law coefficient")),
-    ("--epsilon-p", dict(type=float, help="power-law exponent (default 2)")),
+    ("--g-w", dict(type=float, help="preset frequency w")),
+    ("--epsilon", dict(choices=tuple(EpsilonSchedule.VARIANTS), help="regularization schedule")),
+    ("--epsilon-c", dict(type=float, help="constant value or power-law coefficient c")),
+    ("--epsilon-p", dict(type=float, help="power-law exponent p")),
 )
+# Preset families: the spec document key, the flag that picks the variant,
+# and the class whose VARIANTS table maps each field attribute, set by the
+# flag <flag>-<attribute>, to its document key.
+_PRESETS = (("nonlinearity", "--g", Nonlinearity), ("epsilon", "--epsilon", EpsilonSchedule))
 _INTEGRATOR_FLAGS = tuple(
     (
         "--" + f.name.replace("_", "-"),
@@ -93,6 +97,8 @@ _INTEGRATOR_FLAGS = tuple(
     )
     for f in fields(IntegratorConfig)
 )
+# the fixed rk4 grid reads no method, tolerance or sampling setting
+_GRID_FLAGS = tuple(f for f in _INTEGRATOR_FLAGS if f[0] in ("--dt", "--t-end", "--blowup-threshold"))
 _INITIAL_FLAGS = (
     ("--t0", dict(type=float, help="start time (default 0 for form B, 1 for A1/A2)")),
     ("--x0", dict(type=float, default=1.0)),
@@ -196,8 +202,9 @@ class Command:
     """One subcommand: its flags, how it runs, and what it writes.
 
     ``plot`` maps (result, options) to the --plot-out columns and the extra
-    sidecar meta.  ``runs`` says whether the command integrates, and so
-    takes the initial-state and integrator flags.
+    sidecar meta.  ``integrator`` holds the integrator flags the command
+    reads; a command with none (hopf) integrates nothing and takes no
+    initial-state flags either.
     """
 
     help: str
@@ -205,7 +212,7 @@ class Command:
     run: Callable
     write: Callable
     plot: Callable
-    runs: bool = True
+    integrator: tuple = _GRID_FLAGS
 
 
 COMMANDS = {
@@ -215,6 +222,7 @@ COMMANDS = {
         lambda spec, opts, initial, cfg: integrate(spec, initial, cfg),
         lambda out, traj, m: _io.write_trajectory_csv(out, traj, m),
         lambda traj, opts: (_io.trajectory_columns(traj), {"status": traj.status}),
+        _INTEGRATOR_FLAGS,
     ),
     "energy": Command(
         "energy functionals along a trajectory",
@@ -222,6 +230,7 @@ COMMANDS = {
         _energy,
         lambda out, trace, m: _io.write_energy_csv(out, trace, m),
         lambda trace, opts: (_io.energy_columns(trace), {}),
+        _INTEGRATOR_FLAGS,
     ),
     "lyapunov": Command(
         "largest Lyapunov exponent estimate",
@@ -246,7 +255,7 @@ COMMANDS = {
         _hopf,
         lambda out, payload, m: _io.write_json(out, payload, m),
         lambda payload, opts: ({"crossing": payload["crossings"]}, {}),
-        runs=False,
+        integrator=(),
     ),
     "poincare": Command(
         "section hits of one trajectory",
@@ -315,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
         groups = [("system", (_SPEC_FILE_FLAG,) + _SYSTEM_FLAGS)]
-        if command.runs:
-            groups.append(("run", _INTEGRATOR_FLAGS + _INITIAL_FLAGS))
+        if command.integrator:
+            groups.append(("run", command.integrator + _INITIAL_FLAGS))
         groups += [(name, command.flags), ("output", _OUTPUT_FLAGS)]
         for title, flags in groups:
             group = sp.add_argument_group(title)
@@ -326,7 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_spec(args) -> SystemSpec:
-    inline = [flag for flag, _ in _SYSTEM_FLAGS if getattr(args, _dest(flag)) is not None]
+    """The system of a --spec-json file, or of the spec document that the
+    inline flags describe; both decode through SystemSpec.from_dict."""
+    inline = {flag: getattr(args, _dest(flag)) for flag, _ in _SYSTEM_FLAGS}
+    inline = {flag: value for flag, value in inline.items() if value is not None}
     if args.spec_json is not None:
         if inline:
             raise ValidationError(
@@ -334,34 +346,18 @@ def _build_spec(args) -> SystemSpec:
             )
         with open(args.spec_json, "r", encoding="utf-8") as fh:
             return SystemSpec.from_json(fh.read())
-    params = Params(
-        **{name: getattr(args, name) for name in PARAM_TYPES if getattr(args, name) is not None}
-    )
-    msgs = []
-    if args.g is None and (args.g_k is not None or args.g_w is not None):
-        msgs.append("--g-k/--g-w need --g to pick a preset")
-    if args.epsilon is None and (args.epsilon_c is not None or args.epsilon_p is not None):
-        msgs.append("--epsilon-c/--epsilon-p need --epsilon to pick a schedule")
-    if msgs:
-        raise ValidationError(msgs)
-    g = args.g or "Zero"
-    nl = Nonlinearity(
-        g,
-        k=args.g_k if args.g_k is not None else 1.0,
-        w=args.g_w if args.g_w is not None else 1.0,
-    )
-    eps_variant = args.epsilon or "Zero"
-    if eps_variant == "Constant":
-        eps = EpsilonSchedule.constant(args.epsilon_c if args.epsilon_c is not None else 0.0)
-    elif eps_variant == "PowerLaw":
-        eps = EpsilonSchedule.power_law(
-            args.epsilon_c if args.epsilon_c is not None else 1.0,
-            args.epsilon_p if args.epsilon_p is not None else EpsilonSchedule.p,
-        )
-    else:
-        eps = EpsilonSchedule.zero()
-    form = args.form or FORM_B
-    return SystemSpec(form=form, params=params, nonlinearity=nl, epsilon=eps)
+    doc = {"params": {name: inline[f"--{name}"] for name in PARAM_TYPES if f"--{name}" in inline}}
+    if "--form" in inline:
+        doc["form"] = inline["--form"]
+    for key, flag, preset in _PRESETS:
+        given = {f[len(flag) + 1 :]: v for f, v in inline.items() if f.startswith(flag + "-")}
+        if flag in inline:
+            doc[key] = {"variant": inline[flag]} | {
+                k: given[attr] for k, attr, _ in preset.VARIANTS[inline[flag]] if attr in given
+            }
+        elif given:
+            doc[key] = {}  # fields without a variant, which from_dict refuses
+    return SystemSpec.from_dict(doc)
 
 
 def manifest_from_args(args) -> tuple[dict, str, str | None]:
@@ -369,13 +365,13 @@ def manifest_from_args(args) -> tuple[dict, str, str | None]:
     spec = _build_spec(args)
     command = COMMANDS[args.command]
     manifest = {"command": args.command, "spec": spec.to_dict()}
-    if command.runs:
+    if command.integrator:
         t0 = args.t0
         if t0 is None:
             t0 = 0.0 if spec.form == FORM_B else 1.0
         manifest["initial"] = {"t": t0, "x": args.x0, "v": args.v0}
         manifest["integrator"] = {
-            _dest(flag): getattr(args, _dest(flag)) for flag, _ in _INTEGRATOR_FLAGS
+            _dest(flag): getattr(args, _dest(flag)) for flag, _ in command.integrator
         }
     opts = {_dest(flag): getattr(args, _dest(flag)) for flag, _ in command.flags}
     if opts.get("section") == "strobo" and opts["period"] is None:
@@ -398,7 +394,7 @@ def execute(manifest: dict, out: str, plot_out: str | None = None):
     # every integrating runner checks its run on entry; hopf scans the
     # linearization and may sweep through regions a strict validate would reject
     initial = cfg = None
-    if command.runs:
+    if command.integrator:
         ini = manifest["initial"]
         initial = State(float(ini["t"]), float(ini["x"]), float(ini["v"]))
         cfg = IntegratorConfig(**manifest["integrator"])

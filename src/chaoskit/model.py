@@ -30,14 +30,6 @@ FORM_A2 = "A2"
 FORM_B = "B"
 FORMS = (FORM_A1, FORM_A2, FORM_B)
 
-_G_KINDS = {"Zero": 0, "Linear": 1, "Cubic": 2, "Sine": 3}
-_EPS_KINDS = {"Zero": 0, "Constant": 1, "PowerLaw": 2}
-
-
-def _check_variant(what, variant, kinds):
-    if variant not in kinds:
-        raise ValidationError([f"unknown {what} variant {variant!r}; expected one of {tuple(kinds)}"])
-
 
 @dataclass(frozen=True)
 class Params:
@@ -74,10 +66,45 @@ def _param_value(name, value):
     return kind(value)
 
 
+class _Preset:
+    """A preset family.  ``VARIANTS`` lists its variants in the order of the
+    kernels' kind codes, each with its document fields as (key, attribute,
+    default); a field a document leaves out takes its default."""
+
+    def __post_init__(self):
+        if self.variant not in self.VARIANTS:
+            raise ValidationError(
+                [f"unknown {self.WHAT} variant {self.variant!r}; "
+                 f"expected one of {tuple(self.VARIANTS)}"]
+            )
+
+    def to_dict(self):
+        return {"variant": self.variant} | {
+            key: getattr(self, attr) for key, attr, _ in self.VARIANTS[self.variant]
+        }
+
+    @classmethod
+    def from_dict(cls, d):
+        if "variant" not in d:
+            raise ValidationError(
+                [f"a {cls.WHAT} preset needs a variant; expected one of {tuple(cls.VARIANTS)}"]
+            )
+        keys = cls.VARIANTS.get(d["variant"], ())
+        return cls(d["variant"], **{attr: float(d.get(key, default)) for key, attr, default in keys})
+
+
 @dataclass(frozen=True)
-class Nonlinearity:
+class Nonlinearity(_Preset):
     """Restoring-force preset g(u).  Every preset has g(0) = 0 and an
     analytic slope (``_kernels.g_slope``), which the tangent dynamics rely on."""
+
+    WHAT = "nonlinearity"
+    VARIANTS = {
+        "Zero": (),
+        "Linear": (("k", "k", 1.0),),
+        "Cubic": (("k", "k", 1.0),),
+        "Sine": (("k", "k", 1.0), ("w", "w", 1.0)),
+    }
 
     variant: str = "Zero"
     k: float = 1.0
@@ -109,28 +136,22 @@ class Nonlinearity:
             return self.k * np.sin(self.w * u)
         return np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
 
-    def to_dict(self):
-        d = {"variant": self.variant}
-        if self.variant in ("Linear", "Cubic", "Sine"):
-            d["k"] = self.k
-        if self.variant == "Sine":
-            d["w"] = self.w
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        _check_variant("nonlinearity", d["variant"], _G_KINDS)
-        return cls(d["variant"], k=float(d.get("k", 1.0)), w=float(d.get("w", 1.0)))
-
 
 @dataclass(frozen=True)
-class EpsilonSchedule:
+class EpsilonSchedule(_Preset):
     """Regularization coefficient eps(t).
 
     Zero, a nonnegative constant, or the power law c/t^p with c > 0 and
     p >= 0.  The power law is singular at t = 0 and supplies its running
     integral in closed form.
     """
+
+    WHAT = "regularization"
+    VARIANTS = {
+        "Zero": (),
+        "Constant": (("value", "c", 0.0),),
+        "PowerLaw": (("c", "c", 1.0), ("p", "p", 2.0)),
+    }
 
     variant: str = "Zero"
     c: float = 0.0
@@ -166,25 +187,6 @@ class EpsilonSchedule:
             return self.c * (t ** (1.0 - self.p) - t0 ** (1.0 - self.p)) / (1.0 - self.p)
         return np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
 
-    def to_dict(self):
-        d = {"variant": self.variant}
-        if self.variant == "Constant":
-            d["value"] = self.c
-        elif self.variant == "PowerLaw":
-            d["c"] = self.c
-            d["p"] = self.p
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        variant = d["variant"]
-        _check_variant("regularization", variant, _EPS_KINDS)
-        if variant == "Constant":
-            return cls.constant(d["value"])
-        if variant == "PowerLaw":
-            return cls.power_law(d["c"], d.get("p", 2.0))
-        return cls.zero()
-
 
 @dataclass(frozen=True)
 class State:
@@ -210,6 +212,10 @@ class SystemSpec:
     nonlinearity: Nonlinearity = field(default_factory=Nonlinearity)
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
+    def __post_init__(self):
+        if self.form not in FORMS:
+            raise ValidationError([f"unknown form {self.form!r}; expected one of {FORMS}"])
+
     def to_dict(self):
         return {
             "form": self.form,
@@ -234,6 +240,25 @@ class SystemSpec:
         return cls.from_dict(json.loads(text))
 
 
+@dataclass(frozen=True)
+class Axis:
+    """Evenly spaced scan over one named parameter."""
+
+    name: str
+    lo: float
+    hi: float
+    steps: int
+
+    def __post_init__(self):
+        if self.steps < 2:
+            raise ValidationError([f"axis {self.name!r} needs at least 2 steps, got {self.steps}"])
+        if not self.hi > self.lo:
+            raise ValidationError([f"axis {self.name!r} needs hi > lo, got [{self.lo}, {self.hi}]"])
+
+    def values(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.steps)
+
+
 def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
     """Copy of spec with one scalar parameter replaced.
 
@@ -255,10 +280,10 @@ def pack_spec(spec: SystemSpec) -> np.ndarray:
     P[_k.OMEGA] = spec.params.omega
     P[_k.Q] = spec.params.q
     P[_k.N] = spec.params.n
-    P[_k.G_KIND] = _G_KINDS[spec.nonlinearity.variant]
+    P[_k.G_KIND] = list(Nonlinearity.VARIANTS).index(spec.nonlinearity.variant)
     P[_k.G_K] = spec.nonlinearity.k
     P[_k.G_W] = spec.nonlinearity.w
-    P[_k.EPS_KIND] = _EPS_KINDS[spec.epsilon.variant]
+    P[_k.EPS_KIND] = list(EpsilonSchedule.VARIANTS).index(spec.epsilon.variant)
     P[_k.EPS_C] = spec.epsilon.c
     P[_k.EPS_P] = spec.epsilon.p
     return P
@@ -313,8 +338,6 @@ def validate(spec: SystemSpec, theorem_mode: bool = False) -> SystemSpec:
     """
     msgs = []
     p = spec.params
-    if spec.form not in FORMS:
-        msgs.append(f"unknown form {spec.form!r}; expected one of {FORMS}")
     if p.alpha < 0.0:
         msgs.append(f"alpha must be >= 0, got {p.alpha}")
     if p.beta < 0.0:
@@ -329,14 +352,10 @@ def validate(spec: SystemSpec, theorem_mode: bool = False) -> SystemSpec:
         msgs.append(f"n must be an integer >= 1, got {p.n}")
     if theorem_mode and p.n < 2:
         msgs.append(f"the decay guarantee needs n >= 2, got {p.n}")
-    if spec.nonlinearity.variant not in _G_KINDS:
-        msgs.append(f"unknown nonlinearity variant {spec.nonlinearity.variant!r}")
     if spec.form == FORM_B and spec.nonlinearity.variant != "Zero":
         msgs.append("form B fixes its nonlinearity; the preset must be Zero")
     eps = spec.epsilon
-    if eps.variant not in _EPS_KINDS:
-        msgs.append(f"unknown regularization variant {eps.variant!r}")
-    elif eps.variant == "Constant" and eps.c < 0.0:
+    if eps.variant == "Constant" and eps.c < 0.0:
         msgs.append(f"constant regularization must be >= 0, got {eps.c}")
     elif eps.variant == "PowerLaw":
         if not eps.c > 0.0:

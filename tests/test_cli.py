@@ -84,10 +84,15 @@ def test_rerun_from_manifest_reproduces_bytes(tmp_path, command):
     assert plot.read_bytes() == again_plot.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["simulate", "hopf"])
+# the integrator settings the fixed rk4 grid never read
+GRID_IGNORED = {"method": "rk4", "abs_tol": 1e-9, "rel_tol": 1e-9, "sample_every": 97}
+
+
+@pytest.mark.parametrize("command", ["simulate", "hopf", "poincare", "map"])
 def test_rerun_keeps_dropped_manifest_fields(tmp_path, command):
-    # manifests once carried "seed": null and the unread params.p, and hopf
-    # manifests the run settings it never read; artifacts holding them still
+    # manifests once carried "seed": null and the unread params.p, hopf
+    # manifests the run settings it never read, and grid-command manifests
+    # the method, tolerances and sampling; artifacts holding them still
     # rerun to the same bytes
     out = tmp_path / "new"
     assert run(EVERY_COMMAND[command][0] + ["--out", str(out)]) == 0
@@ -99,6 +104,9 @@ def test_rerun_keeps_dropped_manifest_fields(tmp_path, command):
         assert "initial" not in manifest and "integrator" not in manifest
         old_manifest["initial"] = {"t": 0.0, "x": 1.0, "v": 0.0}
         old_manifest["integrator"] = {"method": "rk4", "dt": 1e-3, "t_end": 100.0}
+    elif command != "simulate":
+        assert set(manifest["integrator"]) == {"dt", "t_end", "blowup_threshold"}
+        old_manifest["integrator"] = dict(manifest["integrator"], **GRID_IGNORED)
     old, again = tmp_path / "old", tmp_path / "again"
     rerun(old_manifest, str(old))
     rerun(str(old), str(again))
@@ -245,6 +253,13 @@ def test_usage_failure_exits_one(tmp_path):
     # hopf takes no run flags, and no command takes --seed
     assert run(EVERY_COMMAND["hopf"][0] + ["--dt", "1e-3", "--out", str(tmp_path / "h.json")]) == 1
     assert run(EVERY_COMMAND["simulate"][0] + ["--seed", "1", "--out", str(tmp_path / "s.csv")]) == 1
+    # the grid commands take no method, tolerance or sampling flag
+    for command in ("lyapunov", "poincare", "bifurcation", "map", "critical"):
+        for flag, value in (("--method", "rk4"), ("--abs-tol", "1e-6"), ("--rel-tol", "1e-6"),
+                            ("--sample-every", "97")):
+            out = tmp_path / f"{command}{flag}"
+            assert run(EVERY_COMMAND[command][0] + [flag, value, "--out", str(out)]) == 1
+            assert not out.exists()
 
 
 def test_map_through_a_singular_start_exits_one(tmp_path, capsys):
@@ -306,6 +321,99 @@ def test_spec_file_with_unknown_variant_exits_one(tmp_path, capsys, command, key
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"variant '{variant}'" in err[0]
     assert not out.exists()
+
+
+# inline flags and the spec document they describe; a field the document
+# leaves out takes the flag default
+SAME_SPEC = {
+    "constant-without-value": (
+        ["--form", "B", "--alpha", "0.5", "--beta", "1", "--epsilon", "Constant"],
+        {"form": "B", "params": {"alpha": 0.5, "beta": 1.0}, "epsilon": {"variant": "Constant"}},
+    ),
+    "a1-sine-powerlaw-c": (
+        ["--form", "A1", "--alpha", "0.5", "--beta", "0.2", "--q", "1", "--g", "Sine", "--g-k", "0.5",
+         "--epsilon", "PowerLaw", "--epsilon-c", "0.3"],
+        {"form": "A1", "params": {"alpha": 0.5, "beta": 0.2, "q": 1.0},
+         "nonlinearity": {"variant": "Sine", "k": 0.5}, "epsilon": {"variant": "PowerLaw", "c": 0.3}},
+    ),
+    "a2-cubic-without-k": (
+        ["--form", "A2", "--alpha", "0.4", "--beta", "1", "--gamma", "0.5", "--q", "1", "--g", "Cubic"],
+        {"form": "A2", "params": {"alpha": 0.4, "beta": 1.0, "gamma": 0.5, "q": 1.0},
+         "nonlinearity": {"variant": "Cubic"}},
+    ),
+    "powerlaw-without-c": (
+        ["--form", "B", "--alpha", "0.5", "--beta", "1", "--epsilon", "PowerLaw", "--epsilon-p", "3"],
+        {"form": "B", "params": {"alpha": 0.5, "beta": 1.0}, "epsilon": {"variant": "PowerLaw", "p": 3}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_SPEC))
+def test_inline_flags_decode_like_a_spec_file(tmp_path, case):
+    flags, doc = SAME_SPEC[case]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(doc))
+    run_flags = ["--t0", "1", "--t-end", "3", "--dt", "1e-2"]
+    inline, from_file = tmp_path / "inline.csv", tmp_path / "file.csv"
+    assert run(["simulate", *flags, *run_flags, "--out", str(inline)]) == 0
+    assert run(["simulate", "--spec-json", str(spec_file), *run_flags, "--out", str(from_file)]) == 0
+    assert inline.read_bytes() == from_file.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [["--g-k", "0.5"], ["--epsilon-c", "0.2"], {"nonlinearity": {"k": 0.5}}, {"epsilon": {}}],
+    ids=["g-k-flag", "epsilon-c-flag", "nonlinearity-file", "epsilon-file"],
+)
+def test_preset_without_variant_exits_one(tmp_path, capsys, source):
+    flags = source
+    if isinstance(source, dict):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"form": "A1", "params": {"alpha": 0.5}, **source}))
+        flags = ["--spec-json", str(spec_file)]
+    out = tmp_path / "x.csv"
+    assert run(["simulate", *flags, "--t-end", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "needs a variant" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["hopf", "simulate"])
+def test_spec_file_with_unknown_form_exits_one(tmp_path, capsys, command):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"form": "C", "params": {"alpha": 0.5, "beta": 1.0}}))
+    flags = ["--t-end", "1"] if command == "simulate" else ["--axis", "alpha", "--lo", "-1", "--hi", "1"]
+    out = tmp_path / "artifact"
+    assert run([command, "--spec-json", str(spec_file), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "form 'C'" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", [["--lo", "1", "--hi", "-0.93"], ["--lo", "-1", "--hi", "1", "--steps", "1"]],
+                         ids=["reversed", "one-point"])
+def test_hopf_refuses_a_reversed_or_one_point_axis(tmp_path, capsys, axis):
+    # a reversed bracket never bisected and reported 0.010875 for the
+    # crossing at 0; one step silently found no crossing
+    out = tmp_path / "hopf.json"
+    assert run(["hopf", *LINEAR, "--axis", "alpha", *axis, "--out", str(out)]) == 1
+    assert "axis 'alpha' needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diverged_bifurcation_cell_plots_no_points(tmp_path):
+    # the alpha = 0.05 cell escapes after some section hits: the CSV marks it
+    # Diverged and the plot file carries none of its hits
+    out, plot = tmp_path / "bif.csv", tmp_path / "bif.dat"
+    code = run(["bifurcation", "--section", "vzero", "--form", "B", "--beta", "1", "--gamma", "1",
+                "--delta", "1", "--omega", "1", "--n", "3", "--axis", "alpha", "--lo", "0.05",
+                "--hi", "4", "--steps", "4", "--x0", "6", "--t-end", "20", "--dt", "1e-2",
+                "--out", str(out), "--plot-out", str(plot)])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [x for a, x in rows if float(a) == 0.05] == ["Diverged"]
+    points = [line.split() for line in plot.read_text().splitlines() if not line.startswith("#")]
+    assert points and all(float(a) != 0.05 for a, _ in points)
 
 
 def test_a_forms_default_to_t0_one(tmp_path):

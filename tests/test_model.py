@@ -185,6 +185,29 @@ def test_from_dict_refuses_unknown_variants(key, variant):
     assert "expected one of" in str(err.value)
 
 
+def test_preset_documents_round_trip_and_default_missing_fields():
+    for preset in (Nonlinearity, EpsilonSchedule):
+        for variant, keys in preset.VARIANTS.items():
+            full = preset.from_dict({"variant": variant, **{key: 0.25 for key, _, _ in keys}})
+            assert full.to_dict() == {"variant": variant, **{key: 0.25 for key, _, _ in keys}}
+            assert preset.from_dict(full.to_dict()) == full
+    # a field the document leaves out takes the same default as its flag
+    assert Nonlinearity.from_dict({"variant": "Sine"}) == Nonlinearity.sine(1.0, 1.0)
+    assert EpsilonSchedule.from_dict({"variant": "Constant"}) == EpsilonSchedule.constant(0.0)
+    assert EpsilonSchedule.from_dict({"variant": "PowerLaw"}) == EpsilonSchedule.power_law(1.0, 2.0)
+    with pytest.raises(ValidationError, match="needs a variant"):
+        Nonlinearity.from_dict({"k": 2.0})
+
+
+def test_unknown_form_or_variant_is_refused_where_built():
+    with pytest.raises(ValidationError, match="unknown form 'C'"):
+        SystemSpec(form="C")
+    with pytest.raises(ValidationError, match="unknown nonlinearity variant 'cubic'"):
+        Nonlinearity("cubic")
+    with pytest.raises(ValidationError, match="unknown regularization variant 'powerlaw'"):
+        replace(B_SPEC.epsilon, variant="powerlaw")
+
+
 def test_state_rejects_non_finite():
     with pytest.raises(ValueError):
         State(0.0, float("nan"), 0.0)
