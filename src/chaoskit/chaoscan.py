@@ -1,18 +1,21 @@
 """Parameter-space scanning: sections, bifurcation sweeps, exponent maps,
 and bisection onto the stability boundary.
 
-Grid scans farm cells out to a thread pool (kernels drop the GIL); the pool
-size comes from ``CHAOS_THREADS`` or the CPU count.  Results are keyed by
-cell index before assembly, so output is deterministic and independent of
-evaluation order.  Exponents within ``NOISE_FLOOR`` of zero are reported as
+Every grid scan runs its cells one way: ``_scan`` sets each grid point's
+axis values on the system and ``_run_indexed`` runs the cells on a thread
+pool (kernels drop the GIL) of ``CHAOS_THREADS`` or CPU-count width, then
+returns the results by cell index, so output is independent of pool width
+and evaluation order.  Critical bisection probes one system at a time, off
+the pool.  Exponents within ``NOISE_FLOOR`` of zero are reported as
 indeterminate rather than forced to a side.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +28,7 @@ from .errors import (
     SectionMismatch,
     ValidationError,
 )
-from .integrate import (
-    COMPLETED,
-    IntegratorConfig,
-    Stroboscopic,
-    Trajectory,
-    VelocityZeroCrossing,
-    integrate_with_events,
-)
+from .integrate import COMPLETED, IntegratorConfig, Stroboscopic, integrate_with_events
 from .model import FORM_B, Axis, State, SystemSpec, with_param
 
 NOISE_FLOOR = 0.01
@@ -60,21 +56,27 @@ def max_workers() -> int:
 
 
 def _run_indexed(tasks, order=None):
-    """Evaluate callables, preserving index association regardless of order."""
-    if order is None:
-        order = range(len(tasks))
-    order = list(order)
-    results = [None] * len(tasks)
-    workers = min(max_workers(), max(len(tasks), 1))
-    if workers <= 1:
-        for i in order:
-            results[i] = tasks[i]()
-        return results
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(tasks[i]): i for i in order}
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
+    """Run the callables on a thread pool, submitted in ``order`` (a
+    permutation of the task indices), and return their results by task
+    index.  If several tasks raise, the lowest-index one's exception
+    propagates."""
+    order = range(len(tasks)) if order is None else order
+    with ThreadPoolExecutor(max_workers=min(max_workers(), len(tasks))) as pool:
+        futures = {i: pool.submit(tasks[i]) for i in order}
+    return [futures[i].result() for i in range(len(tasks))]
+
+
+def _scan(spec, axes, cell, order):
+    """cell(system) -> (value, status) at every point of the product grid of
+    the axes, in row-major order; each system is spec with every axis value
+    set as a float."""
+    tasks = []
+    for point in itertools.product(*(axis.values() for axis in axes)):
+        system = spec
+        for axis, value in zip(axes, point):
+            system = with_param(system, axis.name, float(value))
+        tasks.append(lambda system=system: cell(system))
+    return _run_indexed(tasks, order)
 
 
 @dataclass(frozen=True)
@@ -114,29 +116,23 @@ def poincare(
     SectionMismatch.  A diverged run still returns its (possibly empty)
     post-transient hits, flagged by status.
     """
-    if isinstance(section, Stroboscopic):
-        if spec.form != FORM_B or spec.params.delta == 0.0:
-            raise SectionMismatch(
-                "stroboscopic sections need the periodically forced form B with delta != 0"
-            )
-        columns = ("x", "v")
-    elif isinstance(section, VelocityZeroCrossing):
-        columns = ("t", "x")
-    else:
-        raise TypeError(f"unsupported section type {type(section).__name__}")
+    if isinstance(section, Stroboscopic) and (spec.form != FORM_B or spec.params.delta == 0.0):
+        raise SectionMismatch(
+            "stroboscopic sections need the periodically forced form B with delta != 0"
+        )
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
     traj, events = integrate_with_events(spec, initial, cfg, section)
     t_cut = initial.t + transient_fraction * (cfg.t_end - initial.t)
     keep = events.t >= t_cut
-    points = np.column_stack([getattr(events, name)[keep] for name in columns])
+    points = np.column_stack([getattr(events, name)[keep] for name in section.columns])
     if traj.status != COMPLETED:
         status = CELL_DIVERGED
     elif len(points) == 0:
         status = CELL_EMPTY
     else:
         status = CELL_OK
-    return PoincareSection(spec, section, points, transient_fraction, status, columns)
+    return PoincareSection(spec, section, points, transient_fraction, status, section.columns)
 
 
 def cluster_count(points: np.ndarray, radius: float = CLUSTER_RADIUS) -> int:
@@ -222,38 +218,26 @@ def bifurcation_sweep(
     there is no continuation between neighboring cells, so hysteresis cannot
     leak across the sweep.
     """
-    values = axis.values()
 
-    def cell(val):
-        def run():
-            sec = poincare(
-                with_param(spec, axis.name, val), initial, cfg, section, transient_fraction
-            )
-            x = np.empty(0) if sec.status == CELL_DIVERGED else sec.x_coords().copy()
-            return x, sec.status
+    def cell(system):
+        sec = poincare(system, initial, cfg, section, transient_fraction)
+        return (np.empty(0) if sec.status == CELL_DIVERGED else sec.x_coords().copy()), sec.status
 
-        return run
-
-    results = _run_indexed([cell(float(v)) for v in values], eval_order)
-    cells = [r[0] for r in results]
-    statuses = [r[1] for r in results]
-    return BifurcationDiagram(spec, axis, values, cells, statuses)
+    cells, statuses = zip(*_scan(spec, (axis,), cell, eval_order))
+    return BifurcationDiagram(spec, axis, axis.values(), list(cells), list(statuses))
 
 
-def _lambda_probe(spec, initial, cfg, estimator, transient_fraction, estimator_kwargs):
-    """Check the estimator name, then return probe(*(name, value)) giving
-    (lambda, status) of spec with those parameters set.  A trajectory that
-    escapes gives (nan, "diverged")."""
+def _lambda_probe(initial, cfg, estimator, transient_fraction, estimator_kwargs):
+    """Check the estimator name, then return probe(system) giving the
+    (lambda, status) of that system.  A trajectory that escapes gives
+    (nan, "diverged")."""
     if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {sorted(_ESTIMATORS)}")
 
-    def probe(*settings):
-        s = spec
-        for name, value in settings:
-            s = with_param(s, name, value)
+    def probe(system):
         try:
             est = _ESTIMATORS[estimator](
-                s, initial, cfg, transient_fraction=transient_fraction, **estimator_kwargs
+                system, initial, cfg, transient_fraction=transient_fraction, **estimator_kwargs
             )
         except DivergedTrajectory:
             return math.nan, CELL_DIVERGED
@@ -290,24 +274,11 @@ def lambda_map(
     **estimator_kwargs,
 ) -> LambdaMap:
     """Exponent estimates over the product grid of two axes."""
-    probe = _lambda_probe(spec, initial, cfg, estimator, transient_fraction, estimator_kwargs)
-
-    def cell(val1, val2):
-        return lambda: probe((axis1.name, val1), (axis2.name, val2))
-
-    tasks = [cell(float(a), float(b)) for a in axis1.values() for b in axis2.values()]
-    results = _run_indexed(tasks, eval_order)
-    lam = np.empty((axis1.steps, axis2.steps))
-    statuses = []
-    k = 0
-    for i in range(axis1.steps):
-        row = []
-        for j in range(axis2.steps):
-            lam[i, j] = results[k][0]
-            row.append(results[k][1])
-            k += 1
-        statuses.append(row)
-    return LambdaMap(spec, axis1, axis2, lam, statuses, estimator)
+    probe = _lambda_probe(initial, cfg, estimator, transient_fraction, estimator_kwargs)
+    lam, statuses = zip(*_scan(spec, (axis1, axis2), probe, eval_order))
+    shape = (axis1.steps, axis2.steps)
+    statuses = np.reshape(statuses, shape).tolist()
+    return LambdaMap(spec, axis1, axis2, np.reshape(lam, shape), statuses, estimator)
 
 
 @dataclass(frozen=True)
@@ -354,7 +325,7 @@ def critical_bisect(
     it are expected to fall inside the band, and bisection follows their
     sign.  A probe whose trajectory escapes counts as unstable.
     """
-    lam_at = _lambda_probe(spec, initial, cfg, estimator, transient_fraction, estimator_kwargs)
+    lam_at = _lambda_probe(initial, cfg, estimator, transient_fraction, estimator_kwargs)
     if not hi > lo:
         raise ValidationError([f"need hi > lo, got [{lo}, {hi}]"])
     if not tol > 0.0:
@@ -363,7 +334,7 @@ def critical_bisect(
     probes: list[tuple[float, float]] = []
 
     def probe(val):
-        lam, status = lam_at((axis, val))
+        lam, status = lam_at(with_param(spec, axis, val))
         lam = math.inf if status == CELL_DIVERGED else lam
         probes.append((val, lam))
         return lam

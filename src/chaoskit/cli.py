@@ -352,11 +352,11 @@ def _build_spec(args) -> SystemSpec:
     for key, flag, preset in _PRESETS:
         given = {f[len(flag) + 1 :]: v for f, v in inline.items() if f.startswith(flag + "-")}
         if flag in inline:
-            doc[key] = {"variant": inline[flag]} | {
-                k: given[attr] for k, attr, _ in preset.VARIANTS[inline[flag]] if attr in given
-            }
-        elif given:
-            doc[key] = {}  # fields without a variant, which from_dict refuses
+            # a field the variant does not take keeps its attribute name, which from_dict refuses
+            keys = {attr: k for k, attr, _ in preset.VARIANTS[inline[flag]]}
+            given = {"variant": inline[flag]} | {keys.get(a, a): v for a, v in given.items()}
+        if given:
+            doc[key] = given  # without a variant, from_dict refuses it
     return SystemSpec.from_dict(doc)
 
 

@@ -64,6 +64,10 @@ class IntegratorConfig:
             raise ValidationError(msgs)
 
 
+# Section types name the event columns their points hold; event_run(t0, t_end, n)
+# gives the event kernel of an n-step run, its event arguments and its event capacity.
+
+
 @dataclass(frozen=True)
 class Stroboscopic:
     """Record the state at times phase + k*period."""
@@ -71,9 +75,17 @@ class Stroboscopic:
     period: float
     phase: float = 0.0
 
+    columns = ("x", "v")
+
     def __post_init__(self):
         if not self.period > 0.0:
             raise ValidationError([f"stroboscopic period must be > 0, got {self.period}"])
+
+    def event_run(self, t0, t_end, n):
+        return _k.rk4_events_strobo, (self.period, self.phase), int((t_end - t0) / self.period) + 3
+
+
+_DIRECTIONS = {"rising": 1, "falling": -1, "any": 0}
 
 
 @dataclass(frozen=True)
@@ -85,11 +97,16 @@ class VelocityZeroCrossing:
 
     direction: str = "any"
 
+    columns = ("t", "x")
+
     def __post_init__(self):
-        if self.direction not in ("rising", "falling", "any"):
+        if self.direction not in _DIRECTIONS:
             raise ValidationError(
                 [f"direction must be rising, falling or any, got {self.direction!r}"]
             )
+
+    def event_run(self, t0, t_end, n):
+        return _k.rk4_events_vzero, (_DIRECTIONS[self.direction],), n + 2
 
 
 @dataclass(frozen=True)
@@ -207,9 +224,6 @@ def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajec
     return _trajectory(spec, cfg, status, fail_t, t, x, v)
 
 
-_DIRECTIONS = {"rising": 1, "falling": -1, "any": 0}
-
-
 def integrate_with_events(
     spec: SystemSpec, initial: State, cfg: IntegratorConfig, event
 ) -> tuple[Trajectory, EventRecord]:
@@ -221,16 +235,9 @@ def integrate_with_events(
     uniform grid the localization leans on.
     """
     P, n, h = checked_run(spec, initial, cfg, "event recording")
-    if isinstance(event, Stroboscopic):
-        kernel = _k.rk4_events_strobo
-        event_args = (event.period, event.phase)
-        ne_cap = int((cfg.t_end - initial.t) / event.period) + 3
-    elif isinstance(event, VelocityZeroCrossing):
-        kernel = _k.rk4_events_vzero
-        event_args = (_DIRECTIONS[event.direction],)
-        ne_cap = n + 2
-    else:
+    if not isinstance(event, (Stroboscopic, VelocityZeroCrossing)):
         raise TypeError(f"unsupported event type {type(event).__name__}")
+    kernel, event_args, ne_cap = event.event_run(initial.t, cfg.t_end, n)
     out = _buffers(n // cfg.sample_every + 3)
     ev_t, ev_x, ev_v = _buffers(ne_cap)
     status, m, ne, fail_t = kernel(

@@ -66,10 +66,19 @@ def _param_value(name, value):
     return kind(value)
 
 
+def _refuse_unknown(where, doc, known):
+    """Refuse the keys of doc that are not in known, one message each."""
+    expected = f"expected one of {tuple(known)}"
+    msgs = [f"unknown {where} key {k!r}; {expected}" for k in doc if k not in known]
+    if msgs:
+        raise ValidationError(msgs)
+
+
 class _Preset:
     """A preset family.  ``VARIANTS`` lists its variants in the order of the
     kernels' kind codes, each with its document fields as (key, attribute,
-    default); a field a document leaves out takes its default."""
+    default); a field a document leaves out takes its default, and a key
+    the variant does not take is refused."""
 
     def __post_init__(self):
         if self.variant not in self.VARIANTS:
@@ -90,7 +99,9 @@ class _Preset:
                 [f"a {cls.WHAT} preset needs a variant; expected one of {tuple(cls.VARIANTS)}"]
             )
         keys = cls.VARIANTS.get(d["variant"], ())
-        return cls(d["variant"], **{attr: float(d.get(key, default)) for key, attr, default in keys})
+        preset = cls(d["variant"], **{attr: float(d.get(key, default)) for key, attr, default in keys})
+        _refuse_unknown(f"{preset.variant} {cls.WHAT}", d, ["variant"] + [k for k, _, _ in keys])
+        return preset
 
 
 @dataclass(frozen=True)
@@ -229,7 +240,11 @@ class SystemSpec:
 
     @classmethod
     def from_dict(cls, d):
+        """Decode a spec document, refusing any key it does not define; the
+        retired params.p still loads (and is dropped) so old manifests rerun."""
+        _refuse_unknown("spec", d, tuple(f.name for f in fields(cls)))
         pd = d.get("params", {})
+        _refuse_unknown("params", [k for k in pd if k != "p"], PARAM_NAMES)
         params = Params(**{k: _param_value(k, v) for k, v in pd.items() if k in PARAM_TYPES})
         nl = Nonlinearity.from_dict(d["nonlinearity"]) if "nonlinearity" in d else Nonlinearity()
         eps = EpsilonSchedule.from_dict(d["epsilon"]) if "epsilon" in d else EpsilonSchedule()

@@ -29,7 +29,6 @@ from chaoskit import (
     SystemSpec,
     bifurcation_sweep,
     cluster_count,
-    critical_bisect,
     energy_trace,
     hopf_scan,
     integrate,
@@ -181,8 +180,12 @@ def test_criterion_5_chaotic_cell_in_gamma_sweep():
 
 
 def test_criterion_6_critical_bisection_is_estimator_stable():
-    a = critical_bisect(SWEEP, "gamma", 0.0, 1.0, CRIT_TOL, SWEEP_INI, SWEEP_CFG, estimator="variational")
-    b = critical_bisect(SWEEP, "gamma", 0.0, 1.0, CRIT_TOL, SWEEP_INI, SWEEP_CFG, estimator="two_trajectory")
+    a = conftest.shared_critical_bisect(
+        SWEEP, "gamma", 0.0, 1.0, CRIT_TOL, SWEEP_INI, SWEEP_CFG, estimator="variational"
+    )
+    b = conftest.shared_critical_bisect(
+        SWEEP, "gamma", 0.0, 1.0, CRIT_TOL, SWEEP_INI, SWEEP_CFG, estimator="two_trajectory"
+    )
     spread = abs(a.boundary - b.boundary) / abs(a.boundary)
     ok = (
         a.lam_lo < 0.0 < a.lam_hi

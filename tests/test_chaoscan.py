@@ -1,9 +1,11 @@
 """Sections, clustering, sweeps, and critical-parameter bisection."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
+from conftest import shared_critical_bisect
 
 from chaoskit import (
     Axis,
@@ -27,7 +29,7 @@ from chaoskit import (
     lambda_map,
     poincare,
 )
-from chaoskit.chaoscan import CELL_DIVERGED, CELL_EMPTY, CELL_OK
+from chaoskit.chaoscan import CELL_DIVERGED, CELL_EMPTY, CELL_OK, _run_indexed
 
 FORCED = SystemSpec(form=FORM_B, params=Params(alpha=0.1, beta=1.0, gamma=0.3, delta=0.5, omega=2.0))
 LINEAR = SystemSpec(form=FORM_B, params=Params(alpha=0.5, beta=1.0))
@@ -106,6 +108,11 @@ def test_poincare_empty_and_diverged_statuses():
 AXIS = Axis("gamma", 0.0, 1.2, 7)
 
 
+def test_poincare_refuses_an_object_that_is_not_a_section():
+    with pytest.raises(TypeError):
+        poincare(FORCED, INI, CFG, "strobo")
+
+
 def test_axis_validation():
     with pytest.raises(ValidationError):
         Axis("gamma", 0.0, 1.0, 1)
@@ -165,6 +172,33 @@ def test_lambda_map_diverged_cells_are_nan():
     assert all(s == CELL_DIVERGED for row in lmap.statuses for s in row)
 
 
+def _cell(i, ran, failing=()):
+    def run():
+        ran.append((i, threading.get_ident()))
+        if i in failing:
+            raise ValueError(f"cell {i} failed")
+        return i * i, CELL_OK
+
+    return run
+
+
+def test_run_indexed_on_one_worker_keeps_results_at_their_index(monkeypatch):
+    monkeypatch.setenv("CHAOS_THREADS", "1")
+    ran = []
+    order = [3, 0, 5, 1, 4, 2]
+    results = _run_indexed([_cell(i, ran) for i in range(6)], order)
+    assert results == [(i * i, CELL_OK) for i in range(6)]
+    # one worker thread, not the caller's, runs the cells one at a time in submission order
+    assert [i for i, _ in ran] == order
+    assert len({t for _, t in ran}) == 1 and ran[0][1] != threading.get_ident()
+
+
+def test_run_indexed_raises_the_lowest_failing_cell(monkeypatch):
+    monkeypatch.setenv("CHAOS_THREADS", "2")
+    with pytest.raises(ValueError, match="cell 1 failed"):
+        _run_indexed([_cell(i, [], failing=(1, 3)) for i in range(5)], [4, 3, 2, 1, 0])
+
+
 # frozen sweep family with a genuine stability-to-chaos transition on gamma
 SWEEP = SystemSpec(
     form=FORM_B,
@@ -176,7 +210,7 @@ SWEEP_CFG = IntegratorConfig(method="rk4", dt=6.25e-4, t_end=45.0)
 
 
 def test_critical_bisect_bracket_invariants():
-    cs = critical_bisect(SWEEP, "gamma", 0.0, 1.0, 1e-2, SWEEP_INI, SWEEP_CFG)
+    cs = shared_critical_bisect(SWEEP, "gamma", 0.0, 1.0, 1e-2, SWEEP_INI, SWEEP_CFG)
     assert 0.0 < cs.boundary < 1.0
     assert cs.hi - cs.lo <= 1e-2 + 1e-12
     assert cs.lo <= cs.boundary <= cs.hi
@@ -187,8 +221,8 @@ def test_critical_bisect_bracket_invariants():
 
 
 def test_critical_bisect_estimators_agree():
-    a = critical_bisect(SWEEP, "gamma", 0.0, 1.0, 1e-2, SWEEP_INI, SWEEP_CFG, estimator="variational")
-    b = critical_bisect(SWEEP, "gamma", 0.0, 1.0, 1e-2, SWEEP_INI, SWEEP_CFG, estimator="two_trajectory")
+    a = shared_critical_bisect(SWEEP, "gamma", 0.0, 1.0, 1e-2, SWEEP_INI, SWEEP_CFG, estimator="variational")
+    b = shared_critical_bisect(SWEEP, "gamma", 0.0, 1.0, 1e-2, SWEEP_INI, SWEEP_CFG, estimator="two_trajectory")
     assert abs(a.boundary - b.boundary) <= 0.02 * abs(a.boundary)
 
 

@@ -378,6 +378,45 @@ def test_preset_without_variant_exits_one(tmp_path, capsys, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "source, key",
+    [
+        ({"params": {"alpah": 0.5, "beta": 1}}, "'alpah'"),
+        ({"params": {"alpha": 0.5, "beta": 1}, "epsilion": {"variant": "Constant", "value": 3}},
+         "'epsilion'"),
+        ({"params": {"alpha": 0.5, "beta": 1}, "epsilon": {"variant": "Constant", "value": 3, "c": 9}},
+         "'c'"),
+        ([*LINEAR, "--epsilon", "Constant", "--epsilon-p", "3"], "'p'"),
+        ([*LINEAR, "--g", "Zero", "--g-w", "2"], "'w'"),
+    ],
+    ids=["params-typo", "top-level-typo", "preset-file-field", "epsilon-p-flag", "g-w-flag"],
+)
+def test_unknown_document_key_exits_one(tmp_path, capsys, source, key):
+    # each of these once ran with the user's value dropped
+    flags = source
+    if isinstance(source, dict):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"form": "B", **source}))
+        flags = ["--spec-json", str(spec_file)]
+    out = tmp_path / "x.csv"
+    assert run(["simulate", *flags, "--t-end", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and key in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bifurcation", "map"])
+def test_pool_width_leaves_scan_bytes_alone(tmp_path, monkeypatch, command):
+    argv, _ = EVERY_COMMAND[command]
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CHAOS_THREADS", threads)
+        out, plot = tmp_path / f"{threads}.out", tmp_path / f"{threads}.dat"
+        assert run(argv + ["--out", str(out), "--plot-out", str(plot)]) == 0
+        written.append((out.read_bytes(), plot.read_bytes()))
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("command", ["hopf", "simulate"])
 def test_spec_file_with_unknown_form_exits_one(tmp_path, capsys, command):
     spec_file = tmp_path / "spec.json"

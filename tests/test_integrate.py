@@ -192,6 +192,12 @@ def test_events_require_fixed_grid():
         integrate_with_events(UNDAMPED, State(0.0, 1.0, 0.0), cfg, VelocityZeroCrossing(direction="any"))
 
 
+def test_events_refuse_an_object_that_is_not_a_section():
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=1.0)
+    with pytest.raises(TypeError):
+        integrate_with_events(UNDAMPED, State(0.0, 1.0, 0.0), cfg, object())
+
+
 def test_event_configs_validate():
     with pytest.raises(ValidationError):
         Stroboscopic(period=0.0)
