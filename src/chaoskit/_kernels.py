@@ -258,13 +258,30 @@ def rk4_trajectory(P, t0, x0, v0, h, n_steps, sample_every, blowup, out_t, out_x
     return OK, m, 0.0
 
 
+# Fehlberg 4(5) tableau (NASA TR R-315, 1969).  Rows of A are padded with
+# 0.0 to one length so a compiled kernel can index them at run time; E is
+# B5 - B4, the error weights.
+C = (0.0, 0.25, 0.375, 12.0 / 13.0, 1.0, 0.5)
+A = (
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.25, 0.0, 0.0, 0.0, 0.0),
+    (3.0 / 32.0, 9.0 / 32.0, 0.0, 0.0, 0.0),
+    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0, 0.0, 0.0),
+    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0, 0.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+)
+B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
+E = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
+
+
 @_jit
 def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup, h_min):
     """Adaptive Fehlberg 4(5) run from t0 to t_end.
 
     Step control: per-component tolerance atol + rtol*|y|, acceptance when the
     worst error ratio is <= 1, growth factor 0.9*ratio^(-1/5) clamped to
-    [0.2, 5].  The fifth-order solution is propagated.  Returns
+    [0.2, 5].  The fifth-order solution is propagated.  Every weighted sum
+    runs left to right from its first term and skips zero weights.  Returns
     ``(status, t, x, v, fail_t)`` with sample arrays trimmed to length.
     """
     cap = 4096
@@ -280,78 +297,38 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
     m = 1
     if _bad(x, v, blowup):
         return DIVERGED, ts[:m], xs[:m], vs[:m], t
+    kx = [0.0] * 6
+    kv = [0.0] * 6
     h = h0
     accepted = 0
     while t < t_end:
         last = h >= t_end - t
         if last:
             h = t_end - t
-        k1x = v
-        k1v = rhs(t, x, v, P)
-        x2 = x + h * 0.25 * k1x
-        v2 = v + h * 0.25 * k1v
-        k2x = v2
-        k2v = rhs(t + 0.25 * h, x2, v2, P)
-        x3 = x + h * (3.0 / 32.0 * k1x + 9.0 / 32.0 * k2x)
-        v3 = v + h * (3.0 / 32.0 * k1v + 9.0 / 32.0 * k2v)
-        k3x = v3
-        k3v = rhs(t + 0.375 * h, x3, v3, P)
-        x4 = x + h * (1932.0 / 2197.0 * k1x - 7200.0 / 2197.0 * k2x + 7296.0 / 2197.0 * k3x)
-        v4 = v + h * (1932.0 / 2197.0 * k1v - 7200.0 / 2197.0 * k2v + 7296.0 / 2197.0 * k3v)
-        k4x = v4
-        k4v = rhs(t + 12.0 / 13.0 * h, x4, v4, P)
-        x5 = x + h * (
-            439.0 / 216.0 * k1x - 8.0 * k2x + 3680.0 / 513.0 * k3x - 845.0 / 4104.0 * k4x
-        )
-        v5 = v + h * (
-            439.0 / 216.0 * k1v - 8.0 * k2v + 3680.0 / 513.0 * k3v - 845.0 / 4104.0 * k4v
-        )
-        k5x = v5
-        k5v = rhs(t + h, x5, v5, P)
-        x6 = x + h * (
-            -8.0 / 27.0 * k1x
-            + 2.0 * k2x
-            - 3544.0 / 2565.0 * k3x
-            + 1859.0 / 4104.0 * k4x
-            - 11.0 / 40.0 * k5x
-        )
-        v6 = v + h * (
-            -8.0 / 27.0 * k1v
-            + 2.0 * k2v
-            - 3544.0 / 2565.0 * k3v
-            + 1859.0 / 4104.0 * k4v
-            - 11.0 / 40.0 * k5v
-        )
-        k6x = v6
-        k6v = rhs(t + 0.5 * h, x6, v6, P)
-        xn = x + h * (
-            16.0 / 135.0 * k1x
-            + 6656.0 / 12825.0 * k3x
-            + 28561.0 / 56430.0 * k4x
-            - 9.0 / 50.0 * k5x
-            + 2.0 / 55.0 * k6x
-        )
-        vn = v + h * (
-            16.0 / 135.0 * k1v
-            + 6656.0 / 12825.0 * k3v
-            + 28561.0 / 56430.0 * k4v
-            - 9.0 / 50.0 * k5v
-            + 2.0 / 55.0 * k6v
-        )
-        ex = h * (
-            1.0 / 360.0 * k1x
-            - 128.0 / 4275.0 * k3x
-            - 2197.0 / 75240.0 * k4x
-            + 1.0 / 50.0 * k5x
-            + 2.0 / 55.0 * k6x
-        )
-        ev = h * (
-            1.0 / 360.0 * k1v
-            - 128.0 / 4275.0 * k3v
-            - 2197.0 / 75240.0 * k4v
-            + 1.0 / 50.0 * k5v
-            + 2.0 / 55.0 * k6v
-        )
+        kx[0] = v
+        kv[0] = rhs(t, x, v, P)
+        for i in range(1, 6):
+            a = A[i]
+            sx = a[0] * kx[0]
+            sv = a[0] * kv[0]
+            for j in range(1, i):
+                sx += a[j] * kx[j]
+                sv += a[j] * kv[j]
+            kx[i] = v + h * sv
+            kv[i] = rhs(t + C[i] * h, x + h * sx, kx[i], P)
+        sx = B5[0] * kx[0]
+        sv = B5[0] * kv[0]
+        ex = E[0] * kx[0]
+        ev = E[0] * kv[0]
+        for j in range(2, 6):  # k2 has zero weight in both sums
+            sx += B5[j] * kx[j]
+            sv += B5[j] * kv[j]
+            ex += E[j] * kx[j]
+            ev += E[j] * kv[j]
+        xn = x + h * sx
+        vn = v + h * sv
+        ex *= h
+        ev *= h
         ok = math.isfinite(xn) and math.isfinite(vn) and math.isfinite(ex) and math.isfinite(ev)
         if ok:
             tol_x = atol + rtol * max(abs(x), abs(xn))

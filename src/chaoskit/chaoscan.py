@@ -66,7 +66,7 @@ def _run_indexed(tasks, order=None):
     return [futures[i].result() for i in range(len(tasks))]
 
 
-def _scan(spec, axes, cell, order):
+def _scan(spec, axes, cell):
     """cell(system) -> (value, status) at every point of the product grid of
     the axes, in row-major order; each system is spec with every axis value
     set as a float."""
@@ -76,7 +76,7 @@ def _scan(spec, axes, cell, order):
         for axis, value in zip(axes, point):
             system = with_param(system, axis.name, float(value))
         tasks.append(lambda system=system: cell(system))
-    return _run_indexed(tasks, order)
+    return _run_indexed(tasks)
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,12 @@ def poincare(
 def cluster_count(points: np.ndarray, radius: float = CLUSTER_RADIUS) -> int:
     """Number of single-linkage clusters at the given merge radius.
 
-    Points are bucketed on a grid of cell size ``radius`` so only neighbors
-    are compared; exact duplicates are collapsed first.
+    Two points are linked when their squared distance is <= radius**2, and
+    the clusters are the connected components of those links.  Exact
+    duplicates are collapsed first; a sweep over the points sorted by x then
+    compares each point only with the later points whose x lies within
+    2*radius of its own.  The window is wider than the links need so that
+    rounding in x + radius cannot drop a link.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -156,34 +160,14 @@ def cluster_count(points: np.ndarray, radius: float = CLUSTER_RADIUS) -> int:
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    cells: dict[tuple[int, int], list[int]] = {}
-    keys = np.floor(pts / radius).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
+    ends = np.searchsorted(pts[:, 0], pts[:, 0] + 2.0 * radius, side="right")
     r2 = radius * radius
-    for (ci, cj), idx in cells.items():
-        for di in (0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj < 0:
-                    continue
-                nb = cells.get((ci + di, cj + dj))
-                if nb is None:
-                    continue
-                same = di == 0 and dj == 0
-                for a in idx:
-                    cand = np.array(nb, dtype=np.int64)
-                    if same:
-                        cand = cand[cand > a]
-                    if len(cand) == 0:
-                        continue
-                    d2 = np.sum((pts[cand] - pts[a]) ** 2, axis=1)
-                    for b in cand[d2 <= r2]:
-                        union(a, int(b))
+    for a in range(n):
+        d2 = np.sum((pts[a + 1 : ends[a]] - pts[a]) ** 2, axis=1)
+        for b in np.flatnonzero(d2 <= r2) + a + 1:
+            ra, rb = find(a), find(int(b))
+            if ra != rb:
+                parent[rb] = ra
     return len({find(i) for i in range(n)})
 
 
@@ -210,7 +194,6 @@ def bifurcation_sweep(
     cfg: IntegratorConfig,
     section,
     transient_fraction: float = 0.1,
-    eval_order=None,
 ) -> BifurcationDiagram:
     """Poincare sections across an axis, one independent run per cell.
 
@@ -223,7 +206,7 @@ def bifurcation_sweep(
         sec = poincare(system, initial, cfg, section, transient_fraction)
         return (np.empty(0) if sec.status == CELL_DIVERGED else sec.x_coords().copy()), sec.status
 
-    cells, statuses = zip(*_scan(spec, (axis,), cell, eval_order))
+    cells, statuses = zip(*_scan(spec, (axis,), cell))
     return BifurcationDiagram(spec, axis, axis.values(), list(cells), list(statuses))
 
 
@@ -270,12 +253,11 @@ def lambda_map(
     cfg: IntegratorConfig,
     estimator: str = "variational",
     transient_fraction: float = 0.1,
-    eval_order=None,
     **estimator_kwargs,
 ) -> LambdaMap:
     """Exponent estimates over the product grid of two axes."""
     probe = _lambda_probe(initial, cfg, estimator, transient_fraction, estimator_kwargs)
-    lam, statuses = zip(*_scan(spec, (axis1, axis2), probe, eval_order))
+    lam, statuses = zip(*_scan(spec, (axis1, axis2), probe))
     shape = (axis1.steps, axis2.steps)
     statuses = np.reshape(statuses, shape).tolist()
     return LambdaMap(spec, axis1, axis2, np.reshape(lam, shape), statuses, estimator)

@@ -241,14 +241,26 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, d):
         """Decode a spec document, refusing any key it does not define; the
-        retired params.p still loads (and is dropped) so old manifests rerun."""
-        _refuse_unknown("spec", d, tuple(f.name for f in fields(cls)))
+        retired params.p still loads (and is dropped) so old manifests rerun.
+        One ValidationError names every refused part of the document."""
+        msgs = []
+
+        def part(decode, *args):
+            try:
+                return decode(*args)
+            except ValidationError as exc:
+                msgs.extend(exc.messages)
+
+        part(_refuse_unknown, "spec", d, tuple(f.name for f in fields(cls)))
         pd = d.get("params", {})
-        _refuse_unknown("params", [k for k in pd if k != "p"], PARAM_NAMES)
-        params = Params(**{k: _param_value(k, v) for k, v in pd.items() if k in PARAM_TYPES})
-        nl = Nonlinearity.from_dict(d["nonlinearity"]) if "nonlinearity" in d else Nonlinearity()
-        eps = EpsilonSchedule.from_dict(d["epsilon"]) if "epsilon" in d else EpsilonSchedule()
-        return cls(form=d.get("form", FORM_B), params=params, nonlinearity=nl, epsilon=eps)
+        part(_refuse_unknown, "params", [k for k in pd if k != "p"], PARAM_NAMES)
+        params = {k: part(_param_value, k, v) for k, v in pd.items() if k in PARAM_TYPES}
+        nl = part(Nonlinearity.from_dict, d["nonlinearity"]) if "nonlinearity" in d else Nonlinearity()
+        eps = part(EpsilonSchedule.from_dict, d["epsilon"]) if "epsilon" in d else EpsilonSchedule()
+        spec = part(cls, d.get("form", FORM_B))
+        if msgs:
+            raise ValidationError(msgs)
+        return replace(spec, params=Params(**params), nonlinearity=nl, epsilon=eps)
 
     @classmethod
     def from_json(cls, text):

@@ -2,10 +2,8 @@
 
 The hot kernels are JIT-compiled on first use; warm them once per session so
 timed assertions measure the algorithms, not the compiler.  Acceptance
-verdict lines are gathered here and echoed in the terminal summary, where
-capture no longer hides them.  Several tests bisect the same frozen sweep
-onto its critical parameter; ``shared_critical_bisect`` runs each such
-bisection once per session.
+verdict lines, gathered in ``shared_results``, are echoed in the terminal
+summary, where capture no longer hides them.
 """
 
 import pytest
@@ -18,19 +16,12 @@ from chaoskit import (
     Stroboscopic,
     SystemSpec,
     VelocityZeroCrossing,
-    critical_bisect,
     integrate,
     integrate_with_events,
     lyapunov_two_trajectory,
     lyapunov_variational,
 )
-
-VERDICTS = []
-_CRITICAL = {}
-
-
-def record_verdict(line):
-    VERDICTS.append(line)
+from shared_results import VERDICTS
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -38,15 +29,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in VERDICTS:
             terminalreporter.write_line(line)
-
-
-def shared_critical_bisect(*args, estimator="variational"):
-    """critical_bisect(*args, estimator=estimator), computed once per session
-    for each set of arguments.  Callers must not modify the result."""
-    key = (*args, estimator)
-    if key not in _CRITICAL:
-        _CRITICAL[key] = critical_bisect(*args, estimator=estimator)
-    return _CRITICAL[key]
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -12,8 +12,8 @@ into finite-time escape (gamma >= 1.25).
 import math
 import time
 
-import conftest
 import numpy as np
+import shared_results
 
 from chaoskit import (
     Axis,
@@ -38,6 +38,7 @@ from chaoskit import (
     poincare,
     with_param,
 )
+from chaoskit import chaoscan
 from chaoskit.cli import main, rerun
 from chaoskit.io import read_manifest, write_bifurcation_csv, write_lambda_map_csv
 
@@ -74,7 +75,7 @@ def _report(num, ok, detail):
     verdict = "PASS" if ok else "FAIL"
     line = f"[criterion {num}] {verdict}: {detail}"
     print(line, flush=True)
-    conftest.record_verdict(line)
+    shared_results.record_verdict(line)
 
 
 def _agree(a, b):
@@ -180,10 +181,10 @@ def test_criterion_5_chaotic_cell_in_gamma_sweep():
 
 
 def test_criterion_6_critical_bisection_is_estimator_stable():
-    a = conftest.shared_critical_bisect(
+    a = shared_results.shared_critical_bisect(
         SWEEP, "gamma", 0.0, 1.0, CRIT_TOL, SWEEP_INI, SWEEP_CFG, estimator="variational"
     )
-    b = conftest.shared_critical_bisect(
+    b = shared_results.shared_critical_bisect(
         SWEEP, "gamma", 0.0, 1.0, CRIT_TOL, SWEEP_INI, SWEEP_CFG, estimator="two_trajectory"
     )
     spread = abs(a.boundary - b.boundary) / abs(a.boundary)
@@ -225,7 +226,13 @@ def test_criterion_7_regularized_transplant_stays_bounded():
     assert maxes[0] <= BLOWUP
 
 
-def test_criterion_8_byte_identical_outputs(tmp_path):
+def _submitted_in(monkeypatch, order):
+    """Make every scan submit its cells in the given order."""
+    run_indexed = chaoscan._run_indexed
+    monkeypatch.setattr(chaoscan, "_run_indexed", lambda tasks, _=None: run_indexed(tasks, order))
+
+
+def test_criterion_8_byte_identical_outputs(tmp_path, monkeypatch):
     args = ["simulate", "--form", "B", "--alpha", "0.3", "--beta", "1.2", "--gamma", "0.4",
             "--delta", "0.6", "--omega", "2", "--n", "3", "--t-end", "20", "--dt", "1e-3"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -245,9 +252,9 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     order = np.random.default_rng(3).permutation(9).tolist()
     d1, d2 = tmp_path / "bif1.csv", tmp_path / "bif2.csv"
     write_bifurcation_csv(d1, bifurcation_sweep(forced, axis, ini, cfg, Stroboscopic(period=math.pi)), manifest)
-    write_bifurcation_csv(
-        d2, bifurcation_sweep(forced, axis, ini, cfg, Stroboscopic(period=math.pi), eval_order=order), manifest
-    )
+    with monkeypatch.context() as patch:
+        _submitted_in(patch, order)
+        write_bifurcation_csv(d2, bifurcation_sweep(forced, axis, ini, cfg, Stroboscopic(period=math.pi)), manifest)
     sweep_ok = d1.read_bytes() == d2.read_bytes()
 
     ax1, ax2 = Axis("alpha", 0.3, 0.7, 3), Axis("beta", 0.8, 1.2, 3)
@@ -255,7 +262,9 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     cfg2 = IntegratorConfig(method="rk4", dt=1e-2, t_end=60.0)
     order9 = np.random.default_rng(5).permutation(9).tolist()
     write_lambda_map_csv(m1, lambda_map(LINEAR, ax1, ax2, ini, cfg2), manifest)
-    write_lambda_map_csv(m2, lambda_map(LINEAR, ax1, ax2, ini, cfg2, eval_order=order9), manifest)
+    with monkeypatch.context() as patch:
+        _submitted_in(patch, order9)
+        write_lambda_map_csv(m2, lambda_map(LINEAR, ax1, ax2, ini, cfg2), manifest)
     map_ok = m1.read_bytes() == m2.read_bytes()
 
     ok = repeat_ok and rerun_ok and sweep_ok and map_ok

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import shared_critical_bisect
+from shared_results import shared_critical_bisect
 
 from chaoskit import (
     Axis,
@@ -68,6 +68,46 @@ def test_cluster_count_grid_independence():
     assert cluster_count(pts) == 1
 
 
+def _brute_force_clusters(points, radius):
+    """Single-linkage clusters by comparing every pair: d2 <= radius**2 links."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a in range(len(pts)):
+        d2 = np.sum((pts - pts[a]) ** 2, axis=1)
+        for b in np.flatnonzero(d2 <= radius * radius):
+            parent[find(int(b))] = find(a)
+    return len({find(i) for i in range(len(pts))})
+
+
+def test_cluster_count_matches_brute_force_on_random_sets():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        radius = float(10 ** rng.uniform(-3, 0))
+        pts = rng.uniform(-1, 1, (int(rng.integers(1, 120)), 2)) * rng.uniform(0.01, 20)
+        pts += rng.uniform(-100, 100, 2)
+        assert cluster_count(pts, radius) == _brute_force_clusters(pts, radius)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.5, 2**-0.5], ids=["radius", "half", "diagonal"])
+def test_cluster_count_matches_brute_force_on_lattice_ties(spacing):
+    # lattice neighbours sit on or next to the edge of the d2 rule, on both
+    # sides of zero, and duplicated points must collapse
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        radius = float(10 ** rng.uniform(-3, 1))
+        m = int(rng.integers(2, 10))
+        ij = rng.integers(-m, m + 1, (int(rng.integers(1, 100)), 2))
+        pts = ij * (spacing * radius) + rng.choice([0.0, 0.3 * radius, 0.7]) * rng.uniform(-1, 1, 2)
+        pts = np.vstack([pts, pts[: len(pts) // 3]])
+        assert cluster_count(pts, radius) == _brute_force_clusters(pts, radius)
+
+
 def test_poincare_stroboscopic_on_forced_cell():
     sec = poincare(FORCED, INI, CFG, Stroboscopic(period=math.pi))
     assert sec.status == CELL_OK
@@ -121,16 +161,6 @@ def test_axis_validation():
     assert np.array_equal(AXIS.values(), np.linspace(0.0, 1.2, 7))
 
 
-def test_bifurcation_sweep_is_order_independent():
-    base = bifurcation_sweep(FORCED, AXIS, INI, CFG, Stroboscopic(period=math.pi))
-    permuted = bifurcation_sweep(
-        FORCED, AXIS, INI, CFG, Stroboscopic(period=math.pi), eval_order=[6, 2, 0, 5, 1, 4, 3]
-    )
-    assert base.statuses == permuted.statuses
-    for a, b in zip(base.cells, permuted.cells):
-        assert np.array_equal(a, b)
-
-
 def test_bifurcation_sweep_marks_escaping_cells():
     spec = SystemSpec(form=FORM_B, params=Params(alpha=0.1, beta=1.0, gamma=1.0, delta=1.0, omega=1.0, n=3))
     diagram = bifurcation_sweep(spec, Axis("alpha", 0.05, 0.2, 4), State(0.0, 6.0, 0.0), CFG,
@@ -138,20 +168,17 @@ def test_bifurcation_sweep_marks_escaping_cells():
     assert CELL_DIVERGED in diagram.statuses
 
 
-def test_lambda_map_grid_and_order_independence():
+def test_lambda_map_grid():
     ax1 = Axis("alpha", 0.2, 0.8, 3)
     ax2 = Axis("beta", 0.5, 1.5, 3)
     cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=60.0)
-    base = lambda_map(LINEAR, ax1, ax2, INI, cfg)
-    assert base.lam.shape == (3, 3)
+    lmap = lambda_map(LINEAR, ax1, ax2, INI, cfg)
+    assert lmap.lam.shape == (3, 3)
     # damping dominates: every cell contracts at about -alpha/2
     for i, a in enumerate(ax1.values()):
         for j in range(3):
-            assert base.lam[i, j] == pytest.approx(-a / 2, abs=5e-2)
-            assert base.statuses[i][j] == CELL_OK
-    order = np.random.default_rng(7).permutation(9).tolist()
-    permuted = lambda_map(LINEAR, ax1, ax2, INI, cfg, eval_order=order)
-    assert np.array_equal(base.lam, permuted.lam)
+            assert lmap.lam[i, j] == pytest.approx(-a / 2, abs=5e-2)
+            assert lmap.statuses[i][j] == CELL_OK
 
 
 def test_lambda_map_estimators_agree():

@@ -379,20 +379,25 @@ def test_preset_without_variant_exits_one(tmp_path, capsys, source):
 
 
 @pytest.mark.parametrize(
-    "source, key",
+    "source, keys",
     [
-        ({"params": {"alpah": 0.5, "beta": 1}}, "'alpah'"),
+        ({"params": {"alpah": 0.5, "beta": 1}}, ["'alpah'"]),
         ({"params": {"alpha": 0.5, "beta": 1}, "epsilion": {"variant": "Constant", "value": 3}},
-         "'epsilion'"),
+         ["'epsilion'"]),
         ({"params": {"alpha": 0.5, "beta": 1}, "epsilon": {"variant": "Constant", "value": 3, "c": 9}},
-         "'c'"),
-        ([*LINEAR, "--epsilon", "Constant", "--epsilon-p", "3"], "'p'"),
-        ([*LINEAR, "--g", "Zero", "--g-w", "2"], "'w'"),
+         ["'c'"]),
+        ([*LINEAR, "--epsilon", "Constant", "--epsilon-p", "3"], ["'p'"]),
+        ([*LINEAR, "--g", "Zero", "--g-w", "2"], ["'w'"]),
+        ([*LINEAR, "--epsilon", "Constant", "--epsilon-p", "3", "--g", "Zero", "--g-w", "2"],
+         ["Zero nonlinearity key 'w'", "Constant regularization key 'p'"]),
+        ({"bogus": 1, "params": {"alpah": 0.5}}, ["'bogus'", "'alpah'"]),
     ],
-    ids=["params-typo", "top-level-typo", "preset-file-field", "epsilon-p-flag", "g-w-flag"],
+    ids=["params-typo", "top-level-typo", "preset-file-field", "epsilon-p-flag", "g-w-flag",
+         "both-preset-flags", "top-level-and-params-typo"],
 )
-def test_unknown_document_key_exits_one(tmp_path, capsys, source, key):
-    # each of these once ran with the user's value dropped
+def test_unknown_document_key_exits_one(tmp_path, capsys, source, keys):
+    # each of these once ran with the user's value dropped; every refused
+    # key gets its own line
     flags = source
     if isinstance(source, dict):
         spec_file = tmp_path / "spec.json"
@@ -401,7 +406,8 @@ def test_unknown_document_key_exits_one(tmp_path, capsys, source, key):
     out = tmp_path / "x.csv"
     assert run(["simulate", *flags, "--t-end", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and key in err[0]
+    assert len(err) == len(keys)
+    assert all(line.startswith("error: ") and key in line for line, key in zip(err, keys))
     assert not out.exists()
 
 

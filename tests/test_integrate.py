@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoskit import _kernels as _k
 from chaoskit import (
     COMPLETED,
     DIVERGED,
@@ -67,6 +68,17 @@ def test_rkf45_tightening_tolerance_tightens_error():
         traj = integrate(LINEAR, State(0.0, 1.0, 0.0), cfg)
         errs.append(abs(traj.x[-1] - exact_linear(30.0)))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_fehlberg_tableau_is_consistent():
+    # each stage's time offset is its row sum, B5 sums to 1 and E to 0, and
+    # B5 - E gives Fehlberg's fourth-order weights
+    for c, row in zip(_k.C, _k.A):
+        assert abs(math.fsum(row) - c) <= 1e-15
+    assert abs(math.fsum(_k.B5) - 1.0) <= 1e-15
+    assert abs(math.fsum(_k.E)) <= 1e-15
+    b4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+    assert all(abs(b5 - e - b) <= 1e-15 for b5, e, b in zip(_k.B5, _k.E, b4))
 
 
 def test_grid_is_snapped_to_t_end():

@@ -185,6 +185,26 @@ def test_from_dict_refuses_unknown_variants(key, variant):
     assert "expected one of" in str(err.value)
 
 
+def test_from_dict_names_every_refused_part():
+    doc = {
+        "form": "C",
+        "bogus": 1,
+        "params": {"alpah": 0.5, "n": 2.5},
+        "nonlinearity": {"k": 2.0},
+        "epsilon": {"variant": "Constant", "value": 1.0, "p": 3.0},
+    }
+    with pytest.raises(ValidationError) as err:
+        SystemSpec.from_dict(doc)
+    expected = ["'bogus'", "'alpah'", "n must be an integer", "needs a variant", "'p'", "form 'C'"]
+    assert len(err.value.messages) == len(expected)
+    assert all(e in msg for msg, e in zip(err.value.messages, expected))
+    # with those parts mended the same document decodes
+    doc = {"form": "B", "params": {"alpha": 0.5, "n": 2.0}, "epsilon": {"variant": "Constant", "value": 1.0}}
+    assert SystemSpec.from_dict(doc) == SystemSpec(
+        form="B", params=Params(alpha=0.5, n=2), epsilon=EpsilonSchedule.constant(1.0)
+    )
+
+
 def test_preset_documents_round_trip_and_default_missing_fields():
     for preset in (Nonlinearity, EpsilonSchedule):
         for variant, keys in preset.VARIANTS.items():
