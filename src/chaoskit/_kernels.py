@@ -3,9 +3,13 @@
 Every function here is compiled with numba when it is importable; setting
 ``CHAOS_NO_NUMBA=1`` (or ``true``/``yes``/``on``) in the environment before
 import forces the plain-Python fallback, which runs the identical code paths
-through the interpreter.  Kernels take the system as a packed float64 vector
-(see layout constants below) so the same machine code serves every form and
-preset without boxing.
+through the interpreter.  Kernels take the system as a packed vector (see
+layout constants below), so the same code serves every form and preset.
+Compiled kernels read it as a float64 array.  The trajectory kernels are
+called through ``integrate.run_kernel``, which hands the fallback the same
+values as a list of Python floats and reruns a call on the float64 array
+where Python arithmetic raises (``**`` overflow, division by zero) and
+float64 gives inf or nan.
 """
 
 import math
@@ -106,7 +110,7 @@ def rhs(t, x, v, P):
     ----------
     t, x, v : float
         Time, position, velocity.
-    P : float64[:]
+    P : float64[:] or list of float
         Packed system vector (see module layout constants).
 
     Returns
@@ -307,6 +311,7 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
             h = t_end - t
         kx[0] = v
         kv[0] = rhs(t, x, v, P)
+        ok = True
         for i in range(1, 6):
             a = A[i]
             sx = a[0] * kx[0]
@@ -315,21 +320,28 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
                 sx += a[j] * kx[j]
                 sv += a[j] * kv[j]
             kx[i] = v + h * sv
-            kv[i] = rhs(t + C[i] * h, x + h * sx, kx[i], P)
-        sx = B5[0] * kx[0]
-        sv = B5[0] * kv[0]
-        ex = E[0] * kx[0]
-        ev = E[0] * kv[0]
-        for j in range(2, 6):  # k2 has zero weight in both sums
-            sx += B5[j] * kx[j]
-            sv += B5[j] * kv[j]
-            ex += E[j] * kx[j]
-            ev += E[j] * kv[j]
-        xn = x + h * sx
-        vn = v + h * sv
-        ex *= h
-        ev *= h
-        ok = math.isfinite(xn) and math.isfinite(vn) and math.isfinite(ex) and math.isfinite(ev)
+            xi = x + h * sx
+            # a non-finite stage state leaves the step non-finite; reject it
+            # here, before rhs (the fallback's math.sin raises on inf)
+            if not (math.isfinite(xi) and math.isfinite(kx[i])):
+                ok = False
+                break
+            kv[i] = rhs(t + C[i] * h, xi, kx[i], P)
+        if ok:
+            sx = B5[0] * kx[0]
+            sv = B5[0] * kv[0]
+            ex = E[0] * kx[0]
+            ev = E[0] * kv[0]
+            for j in range(2, 6):  # k2 has zero weight in both sums
+                sx += B5[j] * kx[j]
+                sv += B5[j] * kv[j]
+                ex += E[j] * kx[j]
+                ev += E[j] * kv[j]
+            xn = x + h * sx
+            vn = v + h * sv
+            ex *= h
+            ev *= h
+            ok = math.isfinite(xn) and math.isfinite(vn) and math.isfinite(ex) and math.isfinite(ev)
         if ok:
             tol_x = atol + rtol * max(abs(x), abs(xn))
             tol_v = atol + rtol * max(abs(v), abs(vn))

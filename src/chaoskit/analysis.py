@@ -27,7 +27,7 @@ from .errors import (
     SingularTime,
     ValidationError,
 )
-from .integrate import COMPLETED, IntegratorConfig, Trajectory, checked_run
+from .integrate import COMPLETED, IntegratorConfig, Trajectory, checked_run, run_kernel
 from .model import (
     FORM_B,
     Axis,
@@ -288,7 +288,8 @@ def lyapunov_two_trajectory(
     if not D0_MIN <= d0 <= D0_MAX:
         raise ValueError(f"d0 must lie in [{D0_MIN:g}, {D0_MAX:g}], got {d0:g}")
     P, grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
-    result = _k.benettin(
+    result = run_kernel(
+        _k.benettin,
         P,
         initial.t,
         initial.x,
@@ -318,7 +319,8 @@ def lyapunov_variational(
     if ux0 == 0.0 and uv0 == 0.0:
         raise ValueError("tangent0 must be a nonzero vector")
     P, grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
-    result = _k.variational(
+    result = run_kernel(
+        _k.variational,
         P,
         initial.t,
         initial.x,

@@ -166,6 +166,23 @@ def checked_run(spec: SystemSpec, initial: State, cfg: IntegratorConfig, grid_us
     return (pack_spec(spec), *grid_steps(initial.t, cfg.t_end, cfg.dt))
 
 
+def run_kernel(kernel, P, *args):
+    """kernel(P, *args) for the packed spec P.
+
+    Compiled kernels take the float64 vector as it is.  The fallback reads
+    it as Python floats (``P.tolist()``), whose arithmetic runs about twice
+    as fast as on numpy scalars.  Python floats raise where float64 gives
+    inf or nan (``**`` overflow, division by zero), so a call that raises
+    ``ArithmeticError`` reruns on the vector; results keep the vector's bits.
+    """
+    if _k.NUMBA_ENABLED:
+        return kernel(P, *args)
+    try:
+        return kernel(P.tolist(), *args)
+    except ArithmeticError:
+        return kernel(P, *args)
+
+
 def _buffers(size):
     return np.empty(size), np.empty(size), np.empty(size)
 
@@ -196,7 +213,8 @@ def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajec
     P, n, h = checked_run(spec, initial, cfg)
     if cfg.method == "rk4":
         out = _buffers(n // cfg.sample_every + 3)
-        status, m, fail_t = _k.rk4_trajectory(
+        status, m, fail_t = run_kernel(
+            _k.rk4_trajectory,
             P,
             initial.t,
             initial.x,
@@ -208,7 +226,8 @@ def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajec
             *out,
         )
         return _trajectory(spec, cfg, status, fail_t, *out, m)
-    status, t, x, v, fail_t = _k.rkf45_trajectory(
+    status, t, x, v, fail_t = run_kernel(
+        _k.rkf45_trajectory,
         P,
         initial.t,
         initial.x,
@@ -240,7 +259,8 @@ def integrate_with_events(
     kernel, event_args, ne_cap = event.event_run(initial.t, cfg.t_end, n)
     out = _buffers(n // cfg.sample_every + 3)
     ev_t, ev_x, ev_v = _buffers(ne_cap)
-    status, m, ne, fail_t = kernel(
+    status, m, ne, fail_t = run_kernel(
+        kernel,
         P,
         initial.t,
         initial.x,

@@ -57,13 +57,47 @@ PARAM_TYPES = {f.name: type(f.default) for f in fields(Params)}
 PARAM_NAMES = tuple(PARAM_TYPES)
 
 
+def _number(where, key, value):
+    """float(value); a value that is not a number is refused, naming its key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError([f"{where} key {key!r} must be a number, got {value!r}"]) from None
+
+
+def _object(what, doc):
+    """doc if it is a mapping (a JSON object); anything else is refused."""
+    if not isinstance(doc, dict):
+        raise ValidationError([f"{what} must be an object, got {type(doc).__name__}"])
+    return doc
+
+
 def _param_value(name, value):
     """value cast to the type of Params.<name>; an integer parameter refuses
     a value with a fractional part instead of truncating it."""
     kind = PARAM_TYPES[name]
-    if kind is int and not float(value).is_integer():
+    number = _number("params", name, value)
+    if kind is int and not number.is_integer():
         raise ValidationError([f"{name} must be an integer, got {value}"])
-    return kind(value)
+    return kind(number)
+
+
+class _Refusals:
+    """Runs decoding steps and collects the messages of those that refuse,
+    so that one ValidationError can name every refused part of a document."""
+
+    def __init__(self):
+        self.messages = []
+
+    def __call__(self, decode, *args):
+        try:
+            return decode(*args)
+        except ValidationError as exc:
+            self.messages.extend(exc.messages)
+
+    def raise_any(self):
+        if self.messages:
+            raise ValidationError(self.messages)
 
 
 def _refuse_unknown(where, doc, known):
@@ -81,10 +115,10 @@ class _Preset:
     the variant does not take is refused."""
 
     def __post_init__(self):
-        if self.variant not in self.VARIANTS:
+        variants = tuple(self.VARIANTS)  # a tuple, so an unhashable variant is refused too
+        if self.variant not in variants:
             raise ValidationError(
-                [f"unknown {self.WHAT} variant {self.variant!r}; "
-                 f"expected one of {tuple(self.VARIANTS)}"]
+                [f"unknown {self.WHAT} variant {self.variant!r}; expected one of {variants}"]
             )
 
     def to_dict(self):
@@ -94,14 +128,18 @@ class _Preset:
 
     @classmethod
     def from_dict(cls, d):
-        if "variant" not in d:
+        if "variant" not in _object(f"a {cls.WHAT} preset", d):
             raise ValidationError(
                 [f"a {cls.WHAT} preset needs a variant; expected one of {tuple(cls.VARIANTS)}"]
             )
-        keys = cls.VARIANTS.get(d["variant"], ())
-        preset = cls(d["variant"], **{attr: float(d.get(key, default)) for key, attr, default in keys})
-        _refuse_unknown(f"{preset.variant} {cls.WHAT}", d, ["variant"] + [k for k, _, _ in keys])
-        return preset
+        preset = cls(d["variant"])
+        where = f"{preset.variant} {cls.WHAT}"
+        keys = cls.VARIANTS[preset.variant]
+        part = _Refusals()
+        values = {attr: part(_number, where, key, d.get(key, default)) for key, attr, default in keys}
+        part(_refuse_unknown, where, d, ["variant"] + [k for k, _, _ in keys])
+        part.raise_any()
+        return replace(preset, **values)
 
 
 @dataclass(frozen=True)
@@ -243,23 +281,16 @@ class SystemSpec:
         """Decode a spec document, refusing any key it does not define; the
         retired params.p still loads (and is dropped) so old manifests rerun.
         One ValidationError names every refused part of the document."""
-        msgs = []
-
-        def part(decode, *args):
-            try:
-                return decode(*args)
-            except ValidationError as exc:
-                msgs.extend(exc.messages)
-
+        part = _Refusals()
+        _object("a spec document", d)
         part(_refuse_unknown, "spec", d, tuple(f.name for f in fields(cls)))
-        pd = d.get("params", {})
+        pd = part(_object, "spec key 'params'", d.get("params", {})) or {}
         part(_refuse_unknown, "params", [k for k in pd if k != "p"], PARAM_NAMES)
         params = {k: part(_param_value, k, v) for k, v in pd.items() if k in PARAM_TYPES}
         nl = part(Nonlinearity.from_dict, d["nonlinearity"]) if "nonlinearity" in d else Nonlinearity()
         eps = part(EpsilonSchedule.from_dict, d["epsilon"]) if "epsilon" in d else EpsilonSchedule()
         spec = part(cls, d.get("form", FORM_B))
-        if msgs:
-            raise ValidationError(msgs)
+        part.raise_any()
         return replace(spec, params=Params(**params), nonlinearity=nl, epsilon=eps)
 
     @classmethod
@@ -297,7 +328,12 @@ def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
 
 
 def pack_spec(spec: SystemSpec) -> np.ndarray:
-    """Flatten a spec into the float64 vector the kernels consume."""
+    """Flatten a spec into the float64 vector the kernels consume.
+
+    Compiled kernels read this vector as it is; ``integrate.run_kernel``
+    hands the fallback trajectory kernels its values as Python floats, with
+    a rerun on the vector where Python arithmetic raises.
+    """
     P = np.zeros(_k.NPACKED)
     P[_k.FORM] = FORMS.index(spec.form)
     P[_k.ALPHA] = spec.params.alpha

@@ -125,6 +125,18 @@ def test_simulate_diverged_is_still_success(tmp_path):
     assert read_manifest(out)["spec"]["params"]["n"] == 3
 
 
+def test_escaping_rkf45_run_is_a_step_failure(tmp_path, capsys):
+    # an adaptive stage reaches inf on the first step; the step is rejected
+    # before the fallback's math.sin sees it, and the step size runs out at t0
+    out = tmp_path / "esc.csv"
+    code = run(["simulate", "--form", "A1", "--alpha", "0.1", "--beta", "0.6", "--g", "Cubic",
+                "--g-k", "-3", "--method", "rkf45", "--dt", "0.05", "--t0", "1", "--x0", "3e7",
+                "--t-end", "30", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1:] == ["t,x,v", "1,30000000,0"]
+
+
 def test_energy_csv(tmp_path):
     out = tmp_path / "energy.csv"
     code = run(["energy", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "10",
@@ -391,17 +403,30 @@ def test_preset_without_variant_exits_one(tmp_path, capsys, source):
         ([*LINEAR, "--epsilon", "Constant", "--epsilon-p", "3", "--g", "Zero", "--g-w", "2"],
          ["Zero nonlinearity key 'w'", "Constant regularization key 'p'"]),
         ({"bogus": 1, "params": {"alpah": 0.5}}, ["'bogus'", "'alpah'"]),
+        ({"params": {"alpha": None}}, ["params key 'alpha' must be a number"]),
+        ({"params": {"n": None}}, ["params key 'n' must be a number"]),
+        ({"params": [1]}, ["spec key 'params' must be an object"]),
+        ("[1]", ["a spec document must be an object"]),
+        ({"params": {"alpha": "abc"}}, ["params key 'alpha' must be a number, got 'abc'"]),
+        ({"epsilon": {"variant": "Constant", "value": "x"}}, ["key 'value' must be a number"]),
+        ({"params": {"alpha": "abc", "bogus": 1}}, ["'bogus'", "key 'alpha' must be a number"]),
+        ({"epsilon": {"variant": "Constant", "value": "x", "c": 1}},
+         ["key 'value' must be a number", "Constant regularization key 'c'"]),
+        ({"epsilon": {"variant": [1]}}, ["unknown regularization variant [1]"]),
     ],
     ids=["params-typo", "top-level-typo", "preset-file-field", "epsilon-p-flag", "g-w-flag",
-         "both-preset-flags", "top-level-and-params-typo"],
+         "both-preset-flags", "top-level-and-params-typo", "null-value", "null-n", "params-list",
+         "top-level-list", "string-value", "string-preset-value", "bad-value-and-typo",
+         "bad-preset-value-and-typo", "list-variant"],
 )
 def test_unknown_document_key_exits_one(tmp_path, capsys, source, keys):
-    # each of these once ran with the user's value dropped; every refused
-    # key gets its own line
+    # each of these once ran with the user's value dropped or ended in a
+    # traceback or an unnamed error; every refused key gets its own line
     flags = source
-    if isinstance(source, dict):
+    if not isinstance(source, list):
+        text = source if isinstance(source, str) else json.dumps({"form": "B", **source})
         spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps({"form": "B", **source}))
+        spec_file.write_text(text)
         flags = ["--spec-json", str(spec_file)]
     out = tmp_path / "x.csv"
     assert run(["simulate", *flags, "--t-end", "1", "--out", str(out)]) == 1
