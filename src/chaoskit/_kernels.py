@@ -5,11 +5,14 @@ Every function here is compiled with numba when it is importable; setting
 import forces the plain-Python fallback, which runs the identical code paths
 through the interpreter.  Kernels take the system as a packed vector (see
 layout constants below), so the same code serves every form and preset.
-Compiled kernels read it as a float64 array.  The trajectory kernels are
-called through ``integrate.run_kernel``, which hands the fallback the same
-values as a list of Python floats and reruns a call on the float64 array
-where Python arithmetic raises (``**`` overflow, division by zero) and
-float64 gives inf or nan.
+Compiled kernels read it as a float64 array.  Every kernel call from the
+package goes through ``model.run_kernel``, which packs the spec, hands the
+fallback the same values as a list of Python floats and reruns a call on
+the float64 array where Python arithmetic raises (``**`` overflow, division
+by zero) and float64 gives inf or nan.  ``math.sin`` and ``math.cos`` raise
+on an infinite argument in Python and give nan in compiled code, so the
+A-form forces give nan themselves when ``a - a == 0.0`` fails (it holds
+only for finite a); the test is inline because a helper call costs more.
 """
 
 import math
@@ -74,7 +77,8 @@ def g_value(u, P):
     if kind == 2:
         return P[G_K] * u * u * u
     if kind == 3:
-        return P[G_K] * math.sin(P[G_W] * u)
+        wu = P[G_W] * u
+        return P[G_K] * (math.sin(wu) if wu - wu == 0.0 else math.nan)
     return 0.0
 
 
@@ -87,7 +91,8 @@ def g_slope(u, P):
     if kind == 2:
         return 3.0 * P[G_K] * u * u
     if kind == 3:
-        return P[G_K] * P[G_W] * math.cos(P[G_W] * u)
+        wu = P[G_W] * u
+        return P[G_K] * P[G_W] * (math.cos(wu) if wu - wu == 0.0 else math.nan)
     return 0.0
 
 
@@ -130,21 +135,12 @@ def rhs(t, x, v, P):
         )
     tq = t ** P[Q]
     coup = P[GAMMA] + P[BETA] / tq
+    wx = P[OMEGA] * x
+    force = P[DELTA] * (math.sin(wx) if wx - wx == 0.0 else math.nan)
     if form == 0:
         u = x + coup * v
-        return -(
-            P[ALPHA] / tq * v
-            + g_value(u, P)
-            + eps_value(t, P) * x
-            + P[DELTA] * math.sin(P[OMEGA] * x)
-        )
-    return -(
-        P[ALPHA] / tq * v
-        + g_value(x, P)
-        + coup * v
-        + eps_value(t, P) * x
-        + P[DELTA] * math.sin(P[OMEGA] * x)
-    )
+        return -(P[ALPHA] / tq * v + g_value(u, P) + eps_value(t, P) * x + force)
+    return -(P[ALPHA] / tq * v + g_value(x, P) + coup * v + eps_value(t, P) * x + force)
 
 
 @_jit
@@ -158,7 +154,8 @@ def rhs_tangent(t, x, v, dx, dv, P):
     eps = eps_value(t, P)
     tq = t ** P[Q]
     coup = P[GAMMA] + P[BETA] / tq
-    force_x = P[DELTA] * P[OMEGA] * math.cos(P[OMEGA] * x)
+    wx = P[OMEGA] * x
+    force_x = P[DELTA] * P[OMEGA] * (math.cos(wx) if wx - wx == 0.0 else math.nan)
     if form == 0:
         gp = g_slope(x + coup * v, P)
         return -((gp + eps + force_x) * dx + (P[ALPHA] / tq + gp * coup) * dv)
@@ -311,7 +308,6 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
             h = t_end - t
         kx[0] = v
         kv[0] = rhs(t, x, v, P)
-        ok = True
         for i in range(1, 6):
             a = A[i]
             sx = a[0] * kx[0]
@@ -320,28 +316,21 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
                 sx += a[j] * kx[j]
                 sv += a[j] * kv[j]
             kx[i] = v + h * sv
-            xi = x + h * sx
-            # a non-finite stage state leaves the step non-finite; reject it
-            # here, before rhs (the fallback's math.sin raises on inf)
-            if not (math.isfinite(xi) and math.isfinite(kx[i])):
-                ok = False
-                break
-            kv[i] = rhs(t + C[i] * h, xi, kx[i], P)
-        if ok:
-            sx = B5[0] * kx[0]
-            sv = B5[0] * kv[0]
-            ex = E[0] * kx[0]
-            ev = E[0] * kv[0]
-            for j in range(2, 6):  # k2 has zero weight in both sums
-                sx += B5[j] * kx[j]
-                sv += B5[j] * kv[j]
-                ex += E[j] * kx[j]
-                ev += E[j] * kv[j]
-            xn = x + h * sx
-            vn = v + h * sv
-            ex *= h
-            ev *= h
-            ok = math.isfinite(xn) and math.isfinite(vn) and math.isfinite(ex) and math.isfinite(ev)
+            kv[i] = rhs(t + C[i] * h, x + h * sx, kx[i], P)
+        sx = B5[0] * kx[0]
+        sv = B5[0] * kv[0]
+        ex = E[0] * kx[0]
+        ev = E[0] * kv[0]
+        for j in range(2, 6):  # k2 has zero weight in both sums
+            sx += B5[j] * kx[j]
+            sv += B5[j] * kv[j]
+            ex += E[j] * kx[j]
+            ev += E[j] * kv[j]
+        xn = x + h * sx
+        vn = v + h * sv
+        ex *= h
+        ev *= h
+        ok = math.isfinite(xn) and math.isfinite(vn) and math.isfinite(ex) and math.isfinite(ev)
         if ok:
             tol_x = atol + rtol * max(abs(x), abs(xn))
             tol_v = atol + rtol * max(abs(v), abs(vn))

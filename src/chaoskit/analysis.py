@@ -27,14 +27,14 @@ from .errors import (
     SingularTime,
     ValidationError,
 )
-from .integrate import COMPLETED, IntegratorConfig, Trajectory, checked_run, run_kernel
+from .integrate import COMPLETED, IntegratorConfig, Trajectory, checked_run
 from .model import (
     FORM_B,
     Axis,
     State,
     SystemSpec,
     accel_array,
-    pack_spec,
+    run_kernel,
     validate,
     with_param,
 )
@@ -111,9 +111,13 @@ def _linear_part(spec: SystemSpec, at_time: float):
     else:
         if at_time <= 0.0:
             raise SingularTime(f"forms A1/A2 must be frozen at a time > 0, got {at_time}")
-        P = pack_spec(spec)
-        b_eff = -float(_k.rhs_tangent(at_time, 0.0, 0.0, 1.0, 0.0, P))
-        a_eff = -float(_k.rhs_tangent(at_time, 0.0, 0.0, 0.0, 1.0, P))
+        b_eff, a_eff = run_kernel(
+            spec,
+            lambda P: (
+                -float(_k.rhs_tangent(at_time, 0.0, 0.0, 1.0, 0.0, P)),
+                -float(_k.rhs_tangent(at_time, 0.0, 0.0, 0.0, 1.0, P)),
+            ),
+        )
     root = cmath.sqrt(complex(a_eff * a_eff - 4.0 * b_eff, 0.0))
     return a_eff, b_eff, (-a_eff + root) / 2.0, (-a_eff - root) / 2.0
 
@@ -234,12 +238,12 @@ class LyapunovEstimate:
 
 
 def _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction):
-    """Check the run and lay out its epochs: the packed spec, the grid
-    arguments (h, n, renorm_steps, transient_steps) in kernel order, and the
-    two convergence buffers."""
+    """Check the run and lay out its epochs: the grid arguments (h, n,
+    renorm_steps, transient_steps) in kernel order and the two convergence
+    buffers."""
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
-    P, n, h = checked_run(spec, initial, cfg, "exponent estimation")
+    n, h = checked_run(spec, initial, cfg, "exponent estimation")
     if renorm_interval is None:
         renorm_steps = RENORM_STEPS_DEFAULT
     else:
@@ -248,7 +252,7 @@ def _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction):
     # keep at least one accumulation epoch
     transient_steps = max(min(int(round(transient_fraction * n)), n - renorm_steps), 0)
     ncap = n // renorm_steps + 2
-    return P, (h, n, renorm_steps, transient_steps), (np.empty(ncap), np.empty(ncap))
+    return (h, n, renorm_steps, transient_steps), (np.empty(ncap), np.empty(ncap))
 
 
 def _finish(spec, initial, method, result, conv):
@@ -287,17 +291,12 @@ def lyapunov_two_trajectory(
     """
     if not D0_MIN <= d0 <= D0_MAX:
         raise ValueError(f"d0 must lie in [{D0_MIN:g}, {D0_MAX:g}], got {d0:g}")
-    P, grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
+    grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
     result = run_kernel(
-        _k.benettin,
-        P,
-        initial.t,
-        initial.x,
-        initial.v,
-        *grid,
-        d0,
-        cfg.blowup_threshold,
-        *conv,
+        spec,
+        lambda P: _k.benettin(
+            P, initial.t, initial.x, initial.v, *grid, d0, cfg.blowup_threshold, *conv
+        ),
     )
     return _finish(spec, initial, "two_trajectory", result, conv)
 
@@ -318,17 +317,11 @@ def lyapunov_variational(
     ux0, uv0 = float(tangent0[0]), float(tangent0[1])
     if ux0 == 0.0 and uv0 == 0.0:
         raise ValueError("tangent0 must be a nonzero vector")
-    P, grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
+    grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
     result = run_kernel(
-        _k.variational,
-        P,
-        initial.t,
-        initial.x,
-        initial.v,
-        ux0,
-        uv0,
-        *grid,
-        cfg.blowup_threshold,
-        *conv,
+        spec,
+        lambda P: _k.variational(
+            P, initial.t, initial.x, initial.v, ux0, uv0, *grid, cfg.blowup_threshold, *conv
+        ),
     )
     return _finish(spec, initial, "variational", result, conv)

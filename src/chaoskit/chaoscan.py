@@ -3,11 +3,13 @@ and bisection onto the stability boundary.
 
 Every grid scan runs its cells one way: ``_scan`` sets each grid point's
 axis values on the system and ``_run_indexed`` runs the cells on a thread
-pool (kernels drop the GIL) of ``CHAOS_THREADS`` or CPU-count width, then
-returns the results by cell index, so output is independent of pool width
-and evaluation order.  Critical bisection probes one system at a time, off
-the pool.  Exponents within ``NOISE_FLOOR`` of zero are reported as
-indeterminate rather than forced to a side.
+pool of ``CHAOS_THREADS`` or CPU-count width, then returns the results by
+cell index, so output is independent of pool width and evaluation order.
+Compiled kernels drop the GIL, so cells run side by side; the pure-Python
+fallback holds it, so the pool runs one cell at a time.  Critical bisection
+probes one system at a time, off the pool.  Exponents within
+``NOISE_FLOOR`` of zero are reported as indeterminate rather than forced to
+a side.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import ValidationError
-from .model import State, SystemSpec, _check_time, pack_spec, validate
+from .model import State, SystemSpec, _check_time, run_kernel, validate
 
 COMPLETED = "completed"
 DIVERGED = "diverged"
@@ -149,7 +149,7 @@ def grid_steps(t0: float, t_end: float, dt: float) -> tuple[int, float]:
 
 
 def checked_run(spec: SystemSpec, initial: State, cfg: IntegratorConfig, grid_user=None):
-    """Check a run and return (P, n, h): the packed spec and the snapped grid.
+    """Check a run and return (n, h), its snapped grid.
 
     The spec must validate, the start time must not be singular and dt must
     fit inside the span.  ``grid_user`` names a caller that needs the fixed
@@ -163,24 +163,7 @@ def checked_run(spec: SystemSpec, initial: State, cfg: IntegratorConfig, grid_us
         raise ValidationError(
             [f"dt = {cfg.dt} must be smaller than the span t_end - t0 = {cfg.t_end - initial.t}"]
         )
-    return (pack_spec(spec), *grid_steps(initial.t, cfg.t_end, cfg.dt))
-
-
-def run_kernel(kernel, P, *args):
-    """kernel(P, *args) for the packed spec P.
-
-    Compiled kernels take the float64 vector as it is.  The fallback reads
-    it as Python floats (``P.tolist()``), whose arithmetic runs about twice
-    as fast as on numpy scalars.  Python floats raise where float64 gives
-    inf or nan (``**`` overflow, division by zero), so a call that raises
-    ``ArithmeticError`` reruns on the vector; results keep the vector's bits.
-    """
-    if _k.NUMBA_ENABLED:
-        return kernel(P, *args)
-    try:
-        return kernel(P.tolist(), *args)
-    except ArithmeticError:
-        return kernel(P, *args)
+    return grid_steps(initial.t, cfg.t_end, cfg.dt)
 
 
 def _buffers(size):
@@ -210,35 +193,32 @@ def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajec
     sample sits exactly at t_end.  Divergence at the initial state itself is
     reported as a diverged trajectory holding that single sample.
     """
-    P, n, h = checked_run(spec, initial, cfg)
+    n, h = checked_run(spec, initial, cfg)
+    t0, x0, v0 = initial.t, initial.x, initial.v
     if cfg.method == "rk4":
         out = _buffers(n // cfg.sample_every + 3)
         status, m, fail_t = run_kernel(
-            _k.rk4_trajectory,
-            P,
-            initial.t,
-            initial.x,
-            initial.v,
-            h,
-            n,
-            cfg.sample_every,
-            cfg.blowup_threshold,
-            *out,
+            spec,
+            lambda P: _k.rk4_trajectory(
+                P, t0, x0, v0, h, n, cfg.sample_every, cfg.blowup_threshold, *out
+            ),
         )
         return _trajectory(spec, cfg, status, fail_t, *out, m)
     status, t, x, v, fail_t = run_kernel(
-        _k.rkf45_trajectory,
-        P,
-        initial.t,
-        initial.x,
-        initial.v,
-        cfg.t_end,
-        cfg.dt,
-        cfg.abs_tol,
-        cfg.rel_tol,
-        cfg.sample_every,
-        cfg.blowup_threshold,
-        1e-12 * cfg.dt,
+        spec,
+        lambda P: _k.rkf45_trajectory(
+            P,
+            t0,
+            x0,
+            v0,
+            cfg.t_end,
+            cfg.dt,
+            cfg.abs_tol,
+            cfg.rel_tol,
+            cfg.sample_every,
+            cfg.blowup_threshold,
+            1e-12 * cfg.dt,
+        ),
     )
     return _trajectory(spec, cfg, status, fail_t, t, x, v)
 
@@ -253,27 +233,29 @@ def integrate_with_events(
     requires the rk4 method; the adaptive integrator does not carry the
     uniform grid the localization leans on.
     """
-    P, n, h = checked_run(spec, initial, cfg, "event recording")
+    n, h = checked_run(spec, initial, cfg, "event recording")
     if not isinstance(event, (Stroboscopic, VelocityZeroCrossing)):
         raise TypeError(f"unsupported event type {type(event).__name__}")
     kernel, event_args, ne_cap = event.event_run(initial.t, cfg.t_end, n)
     out = _buffers(n // cfg.sample_every + 3)
     ev_t, ev_x, ev_v = _buffers(ne_cap)
     status, m, ne, fail_t = run_kernel(
-        kernel,
-        P,
-        initial.t,
-        initial.x,
-        initial.v,
-        h,
-        n,
-        cfg.sample_every,
-        cfg.blowup_threshold,
-        *event_args,
-        *out,
-        ev_t,
-        ev_x,
-        ev_v,
+        spec,
+        lambda P: kernel(
+            P,
+            initial.t,
+            initial.x,
+            initial.v,
+            h,
+            n,
+            cfg.sample_every,
+            cfg.blowup_threshold,
+            *event_args,
+            *out,
+            ev_t,
+            ev_x,
+            ev_v,
+        ),
     )
     events = EventRecord(ev_t[:ne].copy(), ev_x[:ne].copy(), ev_v[:ne].copy())
     return _trajectory(spec, cfg, status, fail_t, *out, m), events

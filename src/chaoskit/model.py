@@ -330,9 +330,8 @@ def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
 def pack_spec(spec: SystemSpec) -> np.ndarray:
     """Flatten a spec into the float64 vector the kernels consume.
 
-    Compiled kernels read this vector as it is; ``integrate.run_kernel``
-    hands the fallback trajectory kernels its values as Python floats, with
-    a rerun on the vector where Python arithmetic raises.
+    Only ``run_kernel`` calls this; it decides in which form the kernel
+    reads the vector.
     """
     P = np.zeros(_k.NPACKED)
     P[_k.FORM] = FORMS.index(spec.form)
@@ -352,6 +351,24 @@ def pack_spec(spec: SystemSpec) -> np.ndarray:
     return P
 
 
+def run_kernel(spec: SystemSpec, call):
+    """call(P) for the packed spec P: the one path from a spec into a kernel.
+
+    Compiled kernels take the float64 vector as it is.  The fallback reads
+    it as Python floats (``P.tolist()``), whose arithmetic runs about twice
+    as fast as on numpy scalars.  Python floats raise where float64 gives
+    inf or nan (``**`` overflow, division by zero), so a call that raises
+    ``ArithmeticError`` reruns on the vector; results keep the vector's bits.
+    """
+    P = pack_spec(spec)
+    if _k.NUMBA_ENABLED:
+        return call(P)
+    try:
+        return call(P.tolist())
+    except ArithmeticError:
+        return call(P)
+
+
 def _check_time(spec: SystemSpec, t: float):
     if spec.form != FORM_B and spec.params.q > 0.0 and t <= 0.0:
         raise SingularTime(f"form {spec.form} with q > 0 is singular at t = {t:.6g}")
@@ -366,7 +383,10 @@ def accel(spec: SystemSpec, s: State) -> float:
     NonFinite when the evaluation overflows.
     """
     _check_time(spec, s.t)
-    a = float(_k.rhs(s.t, s.x, s.v, pack_spec(spec)))
+    # on a float64 time, 1/t^q and 1/t^p of a negative t are nan as on the
+    # vector; Python floats would give a complex (validate refuses q, p < 0)
+    t = np.float64(s.t)
+    a = float(run_kernel(spec, lambda P: _k.rhs(t, s.x, s.v, P)))
     if not math.isfinite(a):
         raise NonFinite(f"acceleration is not finite at t = {s.t:.6g}")
     return a
@@ -376,7 +396,8 @@ def tangent_accel(spec: SystemSpec, s: State, ds) -> float:
     """Directional derivative of the acceleration along ds = (dx, dv) at s."""
     _check_time(spec, s.t)
     dx, dv = ds
-    a = float(_k.rhs_tangent(s.t, s.x, s.v, float(dx), float(dv), pack_spec(spec)))
+    t = np.float64(s.t)  # see accel
+    a = float(run_kernel(spec, lambda P: _k.rhs_tangent(t, s.x, s.v, float(dx), float(dv), P)))
     if not math.isfinite(a):
         raise NonFinite(f"tangent acceleration is not finite at t = {s.t:.6g}")
     return a
@@ -387,7 +408,7 @@ def accel_array(spec: SystemSpec, t, x, v) -> np.ndarray:
     t = np.ascontiguousarray(t, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
-    return _k.rhs_array(t, x, v, pack_spec(spec))
+    return run_kernel(spec, lambda P: _k.rhs_array(t, x, v, P))
 
 
 def validate(spec: SystemSpec, theorem_mode: bool = False) -> SystemSpec:

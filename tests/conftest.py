@@ -1,9 +1,10 @@
 """Shared fixtures and reporting hooks.
 
 The hot kernels are JIT-compiled on first use; warm them once per session so
-timed assertions measure the algorithms, not the compiler.  Acceptance
-verdict lines, gathered in ``shared_results``, are echoed in the terminal
-summary, where capture no longer hides them.
+timed assertions measure the algorithms, not the compiler.  The report
+header names the kernel backend.  Acceptance verdict lines, gathered in
+``shared_results``, are echoed in the terminal summary, where capture no
+longer hides them.
 """
 
 import pytest
@@ -21,7 +22,15 @@ from chaoskit import (
     lyapunov_two_trajectory,
     lyapunov_variational,
 )
+from chaoskit import _kernels
 from shared_results import VERDICTS
+
+
+def pytest_report_header():
+    if _kernels.NUMBA_ENABLED:
+        return "chaoskit kernels: numba (compiled)"
+    why = "CHAOS_NO_NUMBA is set" if _kernels.NUMBA_DISABLED else "numba is not importable"
+    return f"chaoskit kernels: pure-Python fallback ({why})"
 
 
 def pytest_terminal_summary(terminalreporter):

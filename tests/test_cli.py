@@ -137,6 +137,36 @@ def test_escaping_rkf45_run_is_a_step_failure(tmp_path, capsys):
     assert out.read_text().splitlines()[1:] == ["t,x,v", "1,30000000,0"]
 
 
+# an RK4 stage position of this A1 run reaches inf between two checks; the
+# forcing sin(omega*x) of it is nan, so the run diverges at t = 1.15
+ESCAPING_A1 = ["--form", "A1", "--alpha", "0.1", "--beta", "0.6", "--delta", "0.35", "--omega",
+               "2.5", "--g", "Cubic", "--g-k", "-3", "--dt", "0.05", "--t0", "1", "--x0", "3",
+               "--t-end", "10", "--blowup-threshold", "1e150"]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["poincare", "--section", "vzero"]],
+                         ids=["simulate", "poincare"])
+def test_escaping_a_form_run_is_diverged(tmp_path, capsys, command):
+    out, plot = tmp_path / "esc.csv", tmp_path / "esc.dat"
+    assert run(command + ESCAPING_A1 + ["--out", str(out), "--plot-out", str(plot)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "esc.dat.meta.json").read_text())["status"] == "diverged"
+
+
+def test_escaping_a_form_exponent_exits_two(tmp_path, capsys):
+    assert run(["lyapunov", *ESCAPING_A1, "--out", str(tmp_path / "lyap.json")]) == 2
+    assert capsys.readouterr().err == "error: trajectory diverged at t = 1.15\n"
+
+
+def test_escaping_a_form_map_has_diverged_cells(tmp_path):
+    out = tmp_path / "map.csv"
+    code = run(["map", *ESCAPING_A1, "--axis1", "alpha", "--lo1", "0.1", "--hi1", "0.2",
+                "--steps1", "2", "--axis2", "delta", "--lo2", "0.35", "--hi2", "0.45",
+                "--steps2", "2", "--out", str(out)])
+    assert code == 0
+    assert [line.split(",")[3] for line in out.read_text().splitlines()[2:]] == ["diverged"] * 4
+
+
 def test_energy_csv(tmp_path):
     out = tmp_path / "energy.csv"
     code = run(["energy", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "10",

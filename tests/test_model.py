@@ -17,6 +17,7 @@ from chaoskit import (
     FORM_B,
     EpsilonSchedule,
     InvalidAxis,
+    NonFinite,
     Nonlinearity,
     Params,
     SingularTime,
@@ -271,6 +272,25 @@ def test_validate_theorem_mode_requires_fast_decay():
 def test_accel_raises_at_singular_time():
     with pytest.raises(SingularTime):
         accel(A1_SPEC, State(0.0, 1.0, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SystemSpec(form=FORM_A1, params=Params(beta=1.0, q=-0.5)),
+        SystemSpec(form=FORM_A1, epsilon=EpsilonSchedule.power_law(1.0, -0.5)),
+    ],
+    ids=["q", "p"],
+)
+def test_fractional_power_of_a_negative_time_is_not_finite(spec):
+    # validate refuses these specs and accel does not check them; 1/t^q and
+    # 1/t^p of a negative t are nan, as in float64, never complex
+    s = State(-1.0, 1.0, 1.0)
+    with pytest.raises(NonFinite):
+        accel(spec, s)
+    with pytest.raises(NonFinite):
+        tangent_accel(spec, s, (1.0, 0.0))
 
 
 def test_pack_spec_layout():
