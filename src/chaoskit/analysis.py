@@ -14,19 +14,12 @@ tracks the g-coupled forms.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as _k
-from .errors import (
-    DegenerateSeparation,
-    DivergedTrajectory,
-    NonFinite,
-    SingularTime,
-    ValidationError,
-)
+from .errors import DegenerateSeparation, DivergedTrajectory, NonFinite, ValidationError
 from .integrate import COMPLETED, IntegratorConfig, Trajectory, checked_run
 from .model import (
     FORM_B,
@@ -35,6 +28,7 @@ from .model import (
     SystemSpec,
     accel_array,
     run_kernel,
+    tangent_accel,
     validate,
     with_param,
 )
@@ -109,15 +103,9 @@ def _linear_part(spec: SystemSpec, at_time: float):
     if spec.form == FORM_B:
         a_eff, b_eff = p.alpha, p.beta
     else:
-        if at_time <= 0.0:
-            raise SingularTime(f"forms A1/A2 must be frozen at a time > 0, got {at_time}")
-        b_eff, a_eff = run_kernel(
-            spec,
-            lambda P: (
-                -float(_k.rhs_tangent(at_time, 0.0, 0.0, 1.0, 0.0, P)),
-                -float(_k.rhs_tangent(at_time, 0.0, 0.0, 0.0, 1.0, P)),
-            ),
-        )
+        origin = State(at_time, 0.0, 0.0)
+        b_eff = -tangent_accel(spec, origin, (1.0, 0.0))
+        a_eff = -tangent_accel(spec, origin, (0.0, 1.0))
     root = cmath.sqrt(complex(a_eff * a_eff - 4.0 * b_eff, 0.0))
     return a_eff, b_eff, (-a_eff + root) / 2.0, (-a_eff - root) / 2.0
 
@@ -127,7 +115,7 @@ def linearized_eigen(spec: SystemSpec, at_time: float = 1.0) -> EigenReport:
 
     Form B is autonomous in its linear part, so alpha_eff = alpha and
     beta_eff = beta.  The A forms carry 1/t^q coefficients; they are frozen
-    at ``at_time``, which must be positive.
+    at ``at_time``, which is refused where a run could not start (SingularTime).
     """
     validate(spec)
     a_eff, b_eff, l1, l2 = _linear_part(spec, at_time)
@@ -237,10 +225,17 @@ class LyapunovEstimate:
         }
 
 
-def _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction):
-    """Check the run and lay out its epochs: the grid arguments (h, n,
-    renorm_steps, transient_steps) in kernel order and the two convergence
-    buffers."""
+_COLLAPSED = {  # what a DEGENERATE status means for each estimator
+    "two_trajectory": "separation collapsed to exactly zero; the pair cannot be renormalized",
+    "variational": "tangent vector collapsed to exactly zero; it cannot be renormalized",
+}
+
+
+def _estimate(method, spec, initial, cfg, renorm_interval, transient_fraction, kernel):
+    """Check the run, lay out its epochs and return the LyapunovEstimate of
+    kernel(P, grid, conv), or raise the failure its status names.  grid holds
+    the kernel's (h, n, renorm_steps, transient_steps) arguments in order and
+    conv its two convergence buffers."""
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
     n, h = checked_run(spec, initial, cfg, "exponent estimation")
@@ -251,18 +246,13 @@ def _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction):
     renorm_steps = min(max(renorm_steps, 1), n)
     # keep at least one accumulation epoch
     transient_steps = max(min(int(round(transient_fraction * n)), n - renorm_steps), 0)
-    ncap = n // renorm_steps + 2
-    return (h, n, renorm_steps, transient_steps), (np.empty(ncap), np.empty(ncap))
-
-
-def _finish(spec, initial, method, result, conv):
-    status, lam, nconv, fail_t, t_acc = result
+    grid = (h, n, renorm_steps, transient_steps)
+    conv = (np.empty(n // renorm_steps + 2), np.empty(n // renorm_steps + 2))
+    status, lam, nconv, fail_t, t_acc = run_kernel(spec, lambda P: kernel(P, grid, conv))
     if status == _k.DIVERGED:
         raise DivergedTrajectory(fail_t)
     if status == _k.DEGENERATE:
-        raise DegenerateSeparation(
-            "separation collapsed to exactly zero; the pair cannot be renormalized"
-        )
+        raise DegenerateSeparation(_COLLAPSED[method])
     if status == _k.STEP_FAILURE:
         raise NonFinite(f"tangent vector overflowed at t = {fail_t:.6g}")
     return LyapunovEstimate(
@@ -291,14 +281,12 @@ def lyapunov_two_trajectory(
     """
     if not D0_MIN <= d0 <= D0_MAX:
         raise ValueError(f"d0 must lie in [{D0_MIN:g}, {D0_MAX:g}], got {d0:g}")
-    grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
-    result = run_kernel(
-        spec,
-        lambda P: _k.benettin(
+    return _estimate(
+        "two_trajectory", spec, initial, cfg, renorm_interval, transient_fraction,
+        lambda P, grid, conv: _k.benettin(
             P, initial.t, initial.x, initial.v, *grid, d0, cfg.blowup_threshold, *conv
         ),
     )
-    return _finish(spec, initial, "two_trajectory", result, conv)
 
 
 def lyapunov_variational(
@@ -317,11 +305,9 @@ def lyapunov_variational(
     ux0, uv0 = float(tangent0[0]), float(tangent0[1])
     if ux0 == 0.0 and uv0 == 0.0:
         raise ValueError("tangent0 must be a nonzero vector")
-    grid, conv = _lyapunov_grid(spec, initial, cfg, renorm_interval, transient_fraction)
-    result = run_kernel(
-        spec,
-        lambda P: _k.variational(
+    return _estimate(
+        "variational", spec, initial, cfg, renorm_interval, transient_fraction,
+        lambda P, grid, conv: _k.variational(
             P, initial.t, initial.x, initial.v, ux0, uv0, *grid, cfg.blowup_threshold, *conv
         ),
     )
-    return _finish(spec, initial, "variational", result, conv)

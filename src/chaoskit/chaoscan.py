@@ -24,9 +24,11 @@ import numpy as np
 
 from .analysis import bisect_sign, lyapunov_two_trajectory, lyapunov_variational
 from .errors import (
+    DegenerateSeparation,
     DivergedTrajectory,
     Indeterminate,
     NoBracket,
+    NonFinite,
     SectionMismatch,
     ValidationError,
 )
@@ -39,6 +41,7 @@ CLUSTER_RADIUS = 1e-2
 CELL_OK = "ok"
 CELL_DIVERGED = "diverged"
 CELL_EMPTY = "empty"
+CELL_FAILED = "failed"
 
 _ESTIMATORS = {
     "two_trajectory": lyapunov_two_trajectory,
@@ -212,18 +215,16 @@ def bifurcation_sweep(
     return BifurcationDiagram(spec, axis, axis.values(), list(cells), list(statuses))
 
 
-def _lambda_probe(initial, cfg, estimator, transient_fraction, estimator_kwargs):
+def _lambda_probe(initial, cfg, estimator, estimator_kwargs):
     """Check the estimator name, then return probe(system) giving the
     (lambda, status) of that system.  A trajectory that escapes gives
-    (nan, "diverged")."""
+    (nan, "diverged"); the estimator's other failures propagate."""
     if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {sorted(_ESTIMATORS)}")
 
     def probe(system):
         try:
-            est = _ESTIMATORS[estimator](
-                system, initial, cfg, transient_fraction=transient_fraction, **estimator_kwargs
-            )
+            est = _ESTIMATORS[estimator](system, initial, cfg, **estimator_kwargs)
         except DivergedTrajectory:
             return math.nan, CELL_DIVERGED
         return est.lam, CELL_OK
@@ -236,7 +237,8 @@ class LambdaMap:
     """Largest-exponent estimates over a two-axis grid.
 
     lam is indexed [i, j] for (axis1.values()[i], axis2.values()[j]); cells
-    whose trajectory escaped hold NaN and the "diverged" status.
+    whose trajectory escaped hold NaN and the "diverged" status, and cells
+    whose estimate failed (NonFinite, DegenerateSeparation) NaN and "failed".
     """
 
     spec: SystemSpec
@@ -254,12 +256,19 @@ def lambda_map(
     initial: State,
     cfg: IntegratorConfig,
     estimator: str = "variational",
-    transient_fraction: float = 0.1,
     **estimator_kwargs,
 ) -> LambdaMap:
-    """Exponent estimates over the product grid of two axes."""
-    probe = _lambda_probe(initial, cfg, estimator, transient_fraction, estimator_kwargs)
-    lam, statuses = zip(*_scan(spec, (axis1, axis2), probe))
+    """Exponent estimates over the product grid of two axes; one cell's
+    failed estimate is that cell's data, not the map's end."""
+    probe = _lambda_probe(initial, cfg, estimator, estimator_kwargs)
+
+    def cell(system):
+        try:
+            return probe(system)
+        except (NonFinite, DegenerateSeparation):
+            return math.nan, CELL_FAILED
+
+    lam, statuses = zip(*_scan(spec, (axis1, axis2), cell))
     shape = (axis1.steps, axis2.steps)
     statuses = np.reshape(statuses, shape).tolist()
     return LambdaMap(spec, axis1, axis2, np.reshape(lam, shape), statuses, estimator)
@@ -297,7 +306,6 @@ def critical_bisect(
     initial: State,
     cfg: IntegratorConfig,
     estimator: str = "variational",
-    transient_fraction: float = 0.1,
     **estimator_kwargs,
 ) -> CriticalSet:
     """Bisect a parameter interval onto the sign change of the exponent.
@@ -307,9 +315,10 @@ def critical_bisect(
     raised; equal signs raise NoBracket.  Only the endpoints are held to that
     band: the exponent goes to zero at the boundary, so interior probes near
     it are expected to fall inside the band, and bisection follows their
-    sign.  A probe whose trajectory escapes counts as unstable.
+    sign.  A probe whose trajectory escapes counts as unstable; any other
+    failed probe has no sign and ends the search with its error.
     """
-    lam_at = _lambda_probe(initial, cfg, estimator, transient_fraction, estimator_kwargs)
+    lam_at = _lambda_probe(initial, cfg, estimator, estimator_kwargs)
     if not hi > lo:
         raise ValidationError([f"need hi > lo, got [{lo}, {hi}]"])
     if not tol > 0.0:

@@ -50,6 +50,8 @@ class IntegratorConfig:
         msgs = []
         if self.method not in METHODS:
             msgs.append(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if not math.isfinite(self.t_end):
+            msgs.append(f"t_end must be finite, got {self.t_end}")
         if not self.dt > 0.0:
             msgs.append(f"dt must be > 0, got {self.dt}")
         if not self.abs_tol > 0.0:

@@ -17,6 +17,7 @@ import numpy as np
 from .chaoscan import (
     CELL_DIVERGED,
     CELL_EMPTY,
+    CELL_OK,
     NOISE_FLOOR,
     BifurcationDiagram,
     CriticalSet,
@@ -102,9 +103,10 @@ def write_bifurcation_csv(path, diagram: BifurcationDiagram, manifest: dict):
 
 
 def classify_lambda(lam: float, status: str) -> str:
-    """Map an exponent to its report label using the noise floor."""
-    if status == CELL_DIVERGED:
-        return "diverged"
+    """Map an exponent to its report label using the noise floor; a cell
+    without an exponent (diverged, failed) is labeled by its status."""
+    if status != CELL_OK:
+        return status
     if lam > NOISE_FLOOR:
         return "chaotic"
     if lam < -NOISE_FLOOR:
@@ -113,7 +115,7 @@ def classify_lambda(lam: float, status: str) -> str:
 
 
 def write_lambda_map_csv(path, lmap: LambdaMap, manifest: dict):
-    """Row-major over (axis1, axis2); NaN marks diverged cells."""
+    """Row-major over (axis1, axis2); NaN marks diverged and failed cells."""
     v1, v2 = np.meshgrid(lmap.axis1.values(), lmap.axis2.values(), indexing="ij")
     lam = lmap.lam.ravel()
     statuses = [status for row in lmap.statuses for status in row]

@@ -57,12 +57,18 @@ PARAM_TYPES = {f.name: type(f.default) for f in fields(Params)}
 PARAM_NAMES = tuple(PARAM_TYPES)
 
 
-def _number(where, key, value):
-    """float(value); a value that is not a number is refused, naming its key."""
+def _number(where, key, value, kind=float):
+    """kind(value); a value that is not a finite number is refused, naming
+    its key, and an integer refuses a fractional part instead of truncating it."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ValidationError([f"{where} key {key!r} must be a number, got {value!r}"]) from None
+    if kind is int and not number.is_integer():
+        raise ValidationError([f"{key} must be an integer, got {value}"])
+    if not math.isfinite(number):
+        raise ValidationError([f"{where} key {key!r} must be finite, got {value!r}"])
+    return kind(number)
 
 
 def _object(what, doc):
@@ -73,13 +79,8 @@ def _object(what, doc):
 
 
 def _param_value(name, value):
-    """value cast to the type of Params.<name>; an integer parameter refuses
-    a value with a fractional part instead of truncating it."""
-    kind = PARAM_TYPES[name]
-    number = _number("params", name, value)
-    if kind is int and not number.is_integer():
-        raise ValidationError([f"{name} must be an integer, got {value}"])
-    return kind(number)
+    """value cast to the type of Params.<name>."""
+    return _number("params", name, value, PARAM_TYPES[name])
 
 
 class _Refusals:
@@ -308,6 +309,10 @@ class Axis:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValidationError(
+                [f"axis {self.name!r} needs finite bounds, got [{self.lo}, {self.hi}]"]
+            )
         if self.steps < 2:
             raise ValidationError([f"axis {self.name!r} needs at least 2 steps, got {self.steps}"])
         if not self.hi > self.lo:
@@ -359,14 +364,17 @@ def run_kernel(spec: SystemSpec, call):
     as fast as on numpy scalars.  Python floats raise where float64 gives
     inf or nan (``**`` overflow, division by zero), so a call that raises
     ``ArithmeticError`` reruns on the vector; results keep the vector's bits.
+    The fallback runs with numpy's floating-point warnings off, as compiled
+    code does: every caller judges the result by its status or finiteness.
     """
     P = pack_spec(spec)
     if _k.NUMBA_ENABLED:
         return call(P)
-    try:
-        return call(P.tolist())
-    except ArithmeticError:
-        return call(P)
+    with np.errstate(all="ignore"):
+        try:
+            return call(P.tolist())
+        except ArithmeticError:
+            return call(P)
 
 
 def _check_time(spec: SystemSpec, t: float):
@@ -376,31 +384,34 @@ def _check_time(spec: SystemSpec, t: float):
         raise SingularTime(f"power-law regularization is singular at t = {t:.6g}")
 
 
+def _at_state(spec: SystemSpec, s: State, what: str, call) -> float:
+    """call(P, t, x, v) at the state s, as a finite float.  On float64 scalars
+    an overflow is inf as on the vector, and 1/t^q of a negative t is nan,
+    never complex (validate refuses q, p < 0)."""
+    _check_time(spec, s.t)
+    t, x, v = np.float64(s.t), np.float64(s.x), np.float64(s.v)
+    value = float(run_kernel(spec, lambda P: call(P, t, x, v)))
+    if not math.isfinite(value):
+        raise NonFinite(f"{what} is not finite at t = {s.t:.6g}")
+    return value
+
+
 def accel(spec: SystemSpec, s: State) -> float:
     """Acceleration x'' at state s.
 
     Raises SingularTime when a 1/t^q or 1/t^p factor blows up at s.t, and
     NonFinite when the evaluation overflows.
     """
-    _check_time(spec, s.t)
-    # on a float64 time, 1/t^q and 1/t^p of a negative t are nan as on the
-    # vector; Python floats would give a complex (validate refuses q, p < 0)
-    t = np.float64(s.t)
-    a = float(run_kernel(spec, lambda P: _k.rhs(t, s.x, s.v, P)))
-    if not math.isfinite(a):
-        raise NonFinite(f"acceleration is not finite at t = {s.t:.6g}")
-    return a
+    return _at_state(spec, s, "acceleration", lambda P, t, x, v: _k.rhs(t, x, v, P))
 
 
 def tangent_accel(spec: SystemSpec, s: State, ds) -> float:
-    """Directional derivative of the acceleration along ds = (dx, dv) at s."""
-    _check_time(spec, s.t)
-    dx, dv = ds
-    t = np.float64(s.t)  # see accel
-    a = float(run_kernel(spec, lambda P: _k.rhs_tangent(t, s.x, s.v, float(dx), float(dv), P)))
-    if not math.isfinite(a):
-        raise NonFinite(f"tangent acceleration is not finite at t = {s.t:.6g}")
-    return a
+    """Directional derivative of the acceleration along ds = (dx, dv) at s;
+    it fails as ``accel`` does."""
+    dx, dv = map(float, ds)
+    return _at_state(
+        spec, s, "tangent acceleration", lambda P, t, x, v: _k.rhs_tangent(t, x, v, dx, dv, P)
+    )
 
 
 def accel_array(spec: SystemSpec, t, x, v) -> np.ndarray:

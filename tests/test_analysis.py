@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from chaoskit import _kernels as _k
 from chaoskit import analysis
 from chaoskit import (
+    DegenerateSeparation,
     DivergedTrajectory,
     EpsilonSchedule,
     FORM_A1,
@@ -137,6 +139,17 @@ def test_linear_eigenvalues_are_the_textbook_pair():
     assert rep.eigenvalues[1] == pytest.approx(complex(-0.25, -nu), abs=1e-15)
 
 
+def test_linearization_refuses_the_start_times_a_run_refuses():
+    # 1/t^q is singular at t = 0 when q > 0; with q = 0 and no power-law
+    # regularization an A form is regular there, as it is for a run
+    singular = SystemSpec(form=FORM_A1, params=Params(alpha=0.5, beta=1.0, q=1.0))
+    with pytest.raises(SingularTime):
+        linearized_eigen(singular, at_time=0.0)
+    regular = SystemSpec(form=FORM_A1, params=Params(alpha=0.5, beta=1.0))
+    rep = linearized_eigen(regular, at_time=0.0)
+    assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in rep.eigenvalues)
+
+
 def test_hopf_scan_finds_the_crossing_at_zero_damping():
     spec = SystemSpec(form=FORM_B, params=Params(alpha=0.5, beta=1.0))
     crossings = hopf_scan(spec, "alpha", -1.0, 1.0)
@@ -259,6 +272,21 @@ def test_estimators_reject_a_singular_start(fn):
     spec = SystemSpec(form=FORM_A1, params=Params(alpha=0.5, beta=1.0, q=1.0))
     with pytest.raises(SingularTime):
         fn(spec, INI, IntegratorConfig(method="rk4", dt=1e-2, t_end=2.0))
+
+
+@pytest.mark.parametrize(
+    "method, wording",
+    [
+        ("two_trajectory", "separation collapsed to exactly zero; the pair cannot"),
+        ("variational", "tangent vector collapsed to exactly zero; it cannot"),
+    ],
+)
+def test_collapse_is_worded_per_estimator(method, wording):
+    def collapsed(P, grid, conv):
+        return _k.DEGENERATE, 0.0, 0, 0.0, 0.0
+
+    with pytest.raises(DegenerateSeparation, match=wording):
+        analysis._estimate(method, LINEAR, INI, CFG, None, 0.1, collapsed)
 
 
 def test_escaping_cell_raises_diverged_trajectory():

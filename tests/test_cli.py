@@ -167,6 +167,96 @@ def test_escaping_a_form_map_has_diverged_cells(tmp_path):
     assert [line.split(",")[3] for line in out.read_text().splitlines()[2:]] == ["diverged"] * 4
 
 
+# x**5 of this form-B run overflows a Python float before |x| passes the
+# threshold, so the fallback reruns its kernels on the float64 vector; numpy
+# warnings raised in package code fail the suite, so these runs show that
+# the rerun prints none
+OVERFLOWING_B = ["--form", "B", "--alpha", "0", "--beta", "0", "--gamma", "1", "--delta", "1",
+                 "--omega", "1", "--n", "5", "--t0", "1", "--x0", "2", "--v0", "1",
+                 "--blowup-threshold", "1e150", "--dt", "1e-2", "--t-end", "50"]
+
+
+def test_overflow_rerun_prints_no_warning(tmp_path, capsys):
+    out, plot = tmp_path / "esc.csv", tmp_path / "esc.dat"
+    assert run(["simulate", *OVERFLOWING_B, "--out", str(out), "--plot-out", str(plot)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "esc.dat.meta.json").read_text())["status"] == "diverged"
+
+
+def test_overflow_rerun_map_prints_no_warning(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    code = run(["map", *OVERFLOWING_B, "--axis1", "delta", "--lo1", "0.5", "--hi1", "1",
+                "--steps1", "2", "--axis2", "omega", "--lo2", "1", "--hi2", "2", "--steps2", "2",
+                "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert [line.split(",")[3] for line in out.read_text().splitlines()[2:]] == ["diverged"] * 4
+
+
+# the tangent vector of this A1 run overflows at gamma = 1 (t = 1.57) and
+# stays finite at gamma = 0
+OVERFLOWING_TANGENT = ["--form", "A1", "--alpha", "0.1", "--g", "Sine", "--g-k", "1000",
+                       "--g-w", "10", "--t0", "1", "--x0", "0.3", "--dt", "1e-2", "--t-end", "5"]
+
+
+def test_map_cell_whose_estimate_fails_is_failed(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    code = run(["map", *OVERFLOWING_TANGENT, "--axis1", "gamma", "--lo1", "0", "--hi1", "1",
+                "--steps1", "2", "--axis2", "alpha", "--lo2", "0.1", "--hi2", "0.2",
+                "--steps2", "2", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [(row[0], row[3]) for row in rows] == [("0", "stable")] * 2 + [("1", "failed")] * 2
+    assert [float(row[2]) for row in rows[:2]] == pytest.approx([-0.632, -1.100], abs=1e-3)
+    assert [row[2] for row in rows[2:]] == ["nan", "nan"]
+
+
+def test_critical_probe_whose_estimate_fails_exits_two(tmp_path, capsys):
+    # a probe without an exponent has no sign to bisect on
+    out = tmp_path / "crit.json"
+    code = run(["critical", *OVERFLOWING_TANGENT, "--axis", "gamma", "--lo", "0", "--hi", "1",
+                "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tangent vector overflowed at t = 1.57\n"
+    assert not out.exists()
+
+
+def test_collapsed_tangent_vector_exits_two(tmp_path, capsys):
+    out = tmp_path / "lyap.json"
+    code = run(["lyapunov", "--form", "A2", "--alpha", "0.1", "--g", "Sine", "--g-k", "1e5",
+                "--g-w", "10", "--t0", "1", "--x0", "0.3", "--dt", "1e-2", "--t-end", "5",
+                "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: tangent vector collapsed to exactly zero; it cannot be renormalized\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["simulate", "--form", "B", "--alpha", "nan", "--beta", "1"], "params key 'alpha'"),
+        (["simulate", *LINEAR, "--epsilon", "Constant", "--epsilon-c", "nan"],
+         "Constant regularization key 'value'"),
+        (["map", *LINEAR, "--axis1", "alpha", "--lo1=-inf", "--hi1", "1", "--axis2", "beta",
+          "--lo2", "0", "--hi2", "1"], "axis 'alpha'"),
+        (["hopf", *LINEAR, "--axis", "alpha", "--lo", "0", "--hi", "inf"], "axis 'alpha'"),
+        (["simulate", *LINEAR, "--t-end", "inf"], "t_end"),
+    ],
+    ids=["nan-param", "nan-preset", "infinite-map-axis", "infinite-hopf-axis", "infinite-t-end"],
+)
+def test_non_finite_input_exits_one(tmp_path, capsys, args, key):
+    # each of these once ran (or died with a traceback) instead of being refused
+    run_flags = [] if args[0] == "hopf" or "--t-end" in args else ["--t-end", "1", "--dt", "0.1"]
+    out = tmp_path / "x.out"
+    assert run(args + run_flags + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
 def test_energy_csv(tmp_path):
     out = tmp_path / "energy.csv"
     code = run(["energy", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "10",
@@ -443,11 +533,12 @@ def test_preset_without_variant_exits_one(tmp_path, capsys, source):
         ({"epsilon": {"variant": "Constant", "value": "x", "c": 1}},
          ["key 'value' must be a number", "Constant regularization key 'c'"]),
         ({"epsilon": {"variant": [1]}}, ["unknown regularization variant [1]"]),
+        ({"params": {"alpha": float("inf")}}, ["params key 'alpha' must be finite, got inf"]),
     ],
     ids=["params-typo", "top-level-typo", "preset-file-field", "epsilon-p-flag", "g-w-flag",
          "both-preset-flags", "top-level-and-params-typo", "null-value", "null-n", "params-list",
          "top-level-list", "string-value", "string-preset-value", "bad-value-and-typo",
-         "bad-preset-value-and-typo", "list-variant"],
+         "bad-preset-value-and-typo", "list-variant", "infinite-value"],
 )
 def test_unknown_document_key_exits_one(tmp_path, capsys, source, keys):
     # each of these once ran with the user's value dropped or ended in a

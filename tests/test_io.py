@@ -126,6 +126,7 @@ def test_classify_lambda_labels():
     assert classify_lambda(-0.5, "ok") == "stable"
     assert classify_lambda(0.001, "ok") == "indeterminate"
     assert classify_lambda(float("nan"), "diverged") == "diverged"
+    assert classify_lambda(float("nan"), "failed") == "failed"
 
 
 def test_emit_plotdata_writes_sidecar(tmp_path):

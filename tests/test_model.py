@@ -274,6 +274,16 @@ def test_accel_raises_at_singular_time():
         accel(A1_SPEC, State(0.0, 1.0, 0.0))
 
 
+def test_overflowing_state_is_not_finite():
+    # x**3 of x = 1e300 overflows; it is inf on float64, not an OverflowError
+    spec = SystemSpec(form=FORM_B, params=Params(gamma=1, delta=1, n=3))
+    s = State(1.0, 1e300, 0.0)
+    with pytest.raises(NonFinite):
+        accel(spec, s)
+    with pytest.raises(NonFinite):
+        tangent_accel(spec, s, (1.0, 0.0))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "spec",
