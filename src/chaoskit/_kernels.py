@@ -9,14 +9,22 @@ Compiled kernels read it as a float64 array.  Every kernel call from the
 package goes through ``model.run_kernel``, which packs the spec, hands the
 fallback the same values as a list of Python floats and reruns a call on
 the float64 array where Python arithmetic raises (``**`` overflow, division
-by zero) and float64 gives inf or nan.  ``math.sin`` and ``math.cos`` raise
-on an infinite argument in Python and give nan in compiled code, so the
+by zero) and float64 gives inf or nan.
+
+Under the fallback a step costs interpreter work, not arithmetic, so the
+kernels spend as little of it as they can without changing one
+floating-point operation or its order: the math functions are bare names
+(``sin``, not ``math.sin``), kind codes in the packed spec are compared as
+floats rather than through ``int()``, the regularization term and the
+per-step divergence test are written out inline rather than called, and an
+RK4 step forms ``0.5 * h`` and ``t + 0.5 * h`` once.  Python's ``sin`` and
+``cos`` raise on an infinite argument where compiled code gives nan, so the
 A-form forces give nan themselves when ``a - a == 0.0`` fails (it holds
-only for finite a); the test is inline because a helper call costs more.
+only for finite a), again inline.
 """
 
-import math
 import os
+from math import ceil, cos, isfinite, log, nan, sin, sqrt
 
 import numpy as np
 
@@ -71,39 +79,28 @@ DEGENERATE = 3
 @_jit
 def g_value(u, P):
     """Restoring force g(u) for the packed preset."""
-    kind = int(P[G_KIND])
-    if kind == 1:
+    kind = P[G_KIND]
+    if kind == 1.0:
         return P[G_K] * u
-    if kind == 2:
+    if kind == 2.0:
         return P[G_K] * u * u * u
-    if kind == 3:
+    if kind == 3.0:
         wu = P[G_W] * u
-        return P[G_K] * (math.sin(wu) if wu - wu == 0.0 else math.nan)
+        return P[G_K] * (sin(wu) if wu - wu == 0.0 else nan)
     return 0.0
 
 
 @_jit
 def g_slope(u, P):
     """Derivative g'(u) for the packed preset."""
-    kind = int(P[G_KIND])
-    if kind == 1:
+    kind = P[G_KIND]
+    if kind == 1.0:
         return P[G_K]
-    if kind == 2:
+    if kind == 2.0:
         return 3.0 * P[G_K] * u * u
-    if kind == 3:
+    if kind == 3.0:
         wu = P[G_W] * u
-        return P[G_K] * P[G_W] * (math.cos(wu) if wu - wu == 0.0 else math.nan)
-    return 0.0
-
-
-@_jit
-def eps_value(t, P):
-    """Regularization coefficient at time t."""
-    kind = int(P[EPS_KIND])
-    if kind == 1:
-        return P[EPS_C]
-    if kind == 2:
-        return P[EPS_C] / t ** P[EPS_P]
+        return P[G_K] * P[G_W] * (cos(wu) if wu - wu == 0.0 else nan)
     return 0.0
 
 
@@ -124,39 +121,42 @@ def rhs(t, x, v, P):
         The acceleration.  Singular times yield inf/NaN rather than raising;
         wrappers decide how to report those.
     """
-    form = int(P[FORM])
-    if form == 2:
+    form = P[FORM]
+    kind = P[EPS_KIND]
+    eps = P[EPS_C] if kind == 1.0 else P[EPS_C] / t ** P[EPS_P] if kind == 2.0 else 0.0
+    if form == 2.0:
         n = int(P[N])
         return -(
             P[ALPHA] * v
             + P[BETA] * x
-            + P[GAMMA] * P[DELTA] * math.sin(P[OMEGA] * t) * x**n
-            + eps_value(t, P)
+            + P[GAMMA] * P[DELTA] * sin(P[OMEGA] * t) * x**n
+            + eps
         )
     tq = t ** P[Q]
     coup = P[GAMMA] + P[BETA] / tq
     wx = P[OMEGA] * x
-    force = P[DELTA] * (math.sin(wx) if wx - wx == 0.0 else math.nan)
-    if form == 0:
+    force = P[DELTA] * (sin(wx) if wx - wx == 0.0 else nan)
+    if form == 0.0:
         u = x + coup * v
-        return -(P[ALPHA] / tq * v + g_value(u, P) + eps_value(t, P) * x + force)
-    return -(P[ALPHA] / tq * v + g_value(x, P) + coup * v + eps_value(t, P) * x + force)
+        return -(P[ALPHA] / tq * v + g_value(u, P) + eps * x + force)
+    return -(P[ALPHA] / tq * v + g_value(x, P) + coup * v + eps * x + force)
 
 
 @_jit
 def rhs_tangent(t, x, v, dx, dv, P):
     """Directional derivative of rhs along (dx, dv) at state (t, x, v)."""
-    form = int(P[FORM])
-    if form == 2:
+    form = P[FORM]
+    if form == 2.0:
         n = int(P[N])
-        ax = -(P[BETA] + P[GAMMA] * P[DELTA] * math.sin(P[OMEGA] * t) * n * x ** (n - 1))
+        ax = -(P[BETA] + P[GAMMA] * P[DELTA] * sin(P[OMEGA] * t) * n * x ** (n - 1))
         return ax * dx - P[ALPHA] * dv
-    eps = eps_value(t, P)
+    kind = P[EPS_KIND]
+    eps = P[EPS_C] if kind == 1.0 else P[EPS_C] / t ** P[EPS_P] if kind == 2.0 else 0.0
     tq = t ** P[Q]
     coup = P[GAMMA] + P[BETA] / tq
     wx = P[OMEGA] * x
-    force_x = P[DELTA] * P[OMEGA] * (math.cos(wx) if wx - wx == 0.0 else math.nan)
-    if form == 0:
+    force_x = P[DELTA] * P[OMEGA] * (cos(wx) if wx - wx == 0.0 else nan)
+    if form == 0.0:
         gp = g_slope(x + coup * v, P)
         return -((gp + eps + force_x) * dx + (P[ALPHA] / tq + gp * coup) * dv)
     gp = g_slope(x, P)
@@ -175,13 +175,15 @@ def rhs_array(ts, xs, vs, P):
 @_jit
 def rk4_step(t, x, v, h, P):
     """One classical RK4 step of size h; returns (x, v) at t + h."""
+    hh = 0.5 * h
+    th = t + hh
     a1 = rhs(t, x, v, P)
-    x2 = x + 0.5 * h * v
-    v2 = v + 0.5 * h * a1
-    a2 = rhs(t + 0.5 * h, x2, v2, P)
-    x3 = x + 0.5 * h * v2
-    v3 = v + 0.5 * h * a2
-    a3 = rhs(t + 0.5 * h, x3, v3, P)
+    x2 = x + hh * v
+    v2 = v + hh * a1
+    a2 = rhs(th, x2, v2, P)
+    x3 = x + hh * v2
+    v3 = v + hh * a2
+    a3 = rhs(th, x3, v3, P)
     x4 = x + h * v3
     v4 = v + h * a3
     a4 = rhs(t + h, x4, v4, P)
@@ -193,20 +195,22 @@ def rk4_step(t, x, v, h, P):
 @_jit
 def rk4_tangent_step(t, x, v, ux, uv, h, P):
     """One RK4 step of the trajectory with its tangent vector (ux, uv) attached."""
+    hh = 0.5 * h
+    th = t + hh
     a1 = rhs(t, x, v, P)
     b1 = rhs_tangent(t, x, v, ux, uv, P)
-    x2 = x + 0.5 * h * v
-    v2 = v + 0.5 * h * a1
-    p2 = ux + 0.5 * h * uv
-    q2 = uv + 0.5 * h * b1
-    a2 = rhs(t + 0.5 * h, x2, v2, P)
-    b2 = rhs_tangent(t + 0.5 * h, x2, v2, p2, q2, P)
-    x3 = x + 0.5 * h * v2
-    v3 = v + 0.5 * h * a2
-    p3 = ux + 0.5 * h * q2
-    q3 = uv + 0.5 * h * b2
-    a3 = rhs(t + 0.5 * h, x3, v3, P)
-    b3 = rhs_tangent(t + 0.5 * h, x3, v3, p3, q3, P)
+    x2 = x + hh * v
+    v2 = v + hh * a1
+    p2 = ux + hh * uv
+    q2 = uv + hh * b1
+    a2 = rhs(th, x2, v2, P)
+    b2 = rhs_tangent(th, x2, v2, p2, q2, P)
+    x3 = x + hh * v2
+    v3 = v + hh * a2
+    p3 = ux + hh * q2
+    q3 = uv + hh * b2
+    a3 = rhs(th, x3, v3, P)
+    b3 = rhs_tangent(th, x3, v3, p3, q3, P)
     x4 = x + h * v3
     v4 = v + h * a3
     p4 = ux + h * q3
@@ -220,11 +224,14 @@ def rk4_tangent_step(t, x, v, ux, uv, h, P):
     return xn, vn, un, wn
 
 
+# The divergence test of a start state.  The per-step loops spell it out
+# inline, since a call per step costs the fallback more than the test.
+# isfinite stays because blowup may be inf.
 @_jit
 def _bad(x, v, blowup):
     return (
-        not math.isfinite(x)
-        or not math.isfinite(v)
+        not isfinite(x)
+        or not isfinite(v)
         or abs(x) > blowup
         or abs(v) > blowup
     )
@@ -249,7 +256,7 @@ def rk4_trajectory(P, t0, x0, v0, h, n_steps, sample_every, blowup, out_t, out_x
     for i in range(n_steps):
         x, v = rk4_step(t, x, v, h, P)
         t = t0 + (i + 1) * h
-        if _bad(x, v, blowup):
+        if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, m, t
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             out_t[m] = t
@@ -330,7 +337,7 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
         vn = v + h * sv
         ex *= h
         ev *= h
-        ok = math.isfinite(xn) and math.isfinite(vn) and math.isfinite(ex) and math.isfinite(ev)
+        ok = isfinite(xn) and isfinite(vn) and isfinite(ex) and isfinite(ev)
         if ok:
             tol_x = atol + rtol * max(abs(x), abs(xn))
             tol_v = atol + rtol * max(abs(v), abs(vn))
@@ -409,7 +416,7 @@ def rk4_events_strobo(
     m = 1
     ne = 0
     tiny = 1e-9 * period
-    k = int(math.ceil((t0 - phase) / period - 1e-9))
+    k = int(ceil((t0 - phase) / period - 1e-9))
     te = phase + k * period
     if te <= t0 + tiny:
         if te >= t0 - tiny:
@@ -431,7 +438,7 @@ def rk4_events_strobo(
             te = phase + k * period
         x, v = rk4_step(t, x, v, h, P)
         t = t_next
-        if _bad(x, v, blowup):
+        if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, m, ne, t
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             out_t[m] = t
@@ -493,7 +500,7 @@ def rk4_events_vzero(
         v_prev = v
         x, v = rk4_step(t, x, v, h, P)
         t = t0 + (i + 1) * h
-        if _bad(x, v, blowup):
+        if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, m, ne, t
         if v_prev * v < 0.0:
             hit = direction == 0 or (direction > 0 and v_prev < 0.0) or (direction < 0 and v_prev > 0.0)
@@ -571,16 +578,22 @@ def benettin(
         x1, v1 = rk4_step(t, x1, v1, h, P)
         x2, v2 = rk4_step(t, x2, v2, h, P)
         t = t0 + (i + 1) * h
-        if _bad(x1, v1, blowup) or _bad(x2, v2, blowup):
+        if (
+            not (isfinite(x1) and isfinite(v1) and isfinite(x2) and isfinite(v2))
+            or abs(x1) > blowup
+            or abs(v1) > blowup
+            or abs(x2) > blowup
+            or abs(v2) > blowup
+        ):
             return DIVERGED, 0.0, nconv, t, t_acc
         if (i + 1) % renorm_every == 0 or i == n_steps - 1:
             dx = x2 - x1
             dv = v2 - v1
-            d = math.sqrt(dx * dx + dv * dv)
+            d = sqrt(dx * dx + dv * dv)
             if d == 0.0:
                 return DEGENERATE, 0.0, nconv, t, t_acc
             if acc:
-                sum_logs += math.log(d / d0)
+                sum_logs += log(d / d0)
                 conv_t[nconv] = t
                 conv_lam[nconv] = sum_logs / (t - t_acc)
                 nconv += 1
@@ -619,7 +632,7 @@ def variational(
     t = t0
     x = x0
     v = v0
-    nrm = math.sqrt(ux0 * ux0 + uv0 * uv0)
+    nrm = sqrt(ux0 * ux0 + uv0 * uv0)
     ux = ux0 / nrm
     uv = uv0 / nrm
     if _bad(x, v, blowup):
@@ -631,16 +644,16 @@ def variational(
     for i in range(n_steps):
         x, v, ux, uv = rk4_tangent_step(t, x, v, ux, uv, h, P)
         t = t0 + (i + 1) * h
-        if _bad(x, v, blowup):
+        if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, 0.0, nconv, t, t_acc
-        if not (math.isfinite(ux) and math.isfinite(uv)):
+        if not (isfinite(ux) and isfinite(uv)):
             return STEP_FAILURE, 0.0, nconv, t, t_acc
         if (i + 1) % renorm_every == 0 or i == n_steps - 1:
-            g = math.sqrt(ux * ux + uv * uv)
+            g = sqrt(ux * ux + uv * uv)
             if g == 0.0:
                 return DEGENERATE, 0.0, nconv, t, t_acc
             if acc:
-                sum_logs += math.log(g)
+                sum_logs += log(g)
                 conv_t[nconv] = t
                 conv_lam[nconv] = sum_logs / (t - t_acc)
                 nconv += 1

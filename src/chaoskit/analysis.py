@@ -14,6 +14,7 @@ tracks the g-coupled forms.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,8 @@ class EigenReport:
 def _linear_part(spec: SystemSpec, at_time: float):
     """(alpha_eff, beta_eff) of the linearization at the origin and its
     eigenvalue pair, the roots of lam^2 + alpha_eff*lam + beta_eff = 0."""
+    if not math.isfinite(at_time):
+        raise ValidationError([f"at_time must be finite, got {at_time}"])
     p = spec.params
     if spec.form == FORM_B:
         a_eff, b_eff = p.alpha, p.beta
@@ -238,11 +241,13 @@ def _estimate(method, spec, initial, cfg, renorm_interval, transient_fraction, k
     conv its two convergence buffers."""
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
+    if renorm_interval is not None and not 0.0 < renorm_interval < math.inf:
+        raise ValidationError([f"renorm_interval must be finite and > 0, got {renorm_interval}"])
     n, h = checked_run(spec, initial, cfg, "exponent estimation")
     if renorm_interval is None:
         renorm_steps = RENORM_STEPS_DEFAULT
     else:
-        renorm_steps = int(round(renorm_interval / h))
+        renorm_steps = round(min(renorm_interval / h, n))
     renorm_steps = min(max(renorm_steps, 1), n)
     # keep at least one accumulation epoch
     transient_steps = max(min(int(round(transient_fraction * n)), n - renorm_steps), 0)

@@ -72,6 +72,22 @@ def _dest(flag):
     return flag[2:].replace("-", "_")
 
 
+def _finite_float(positive=False):
+    """argparse type of a float flag that must be finite (and > 0 if
+    positive), so that a refusal names the flag as the user typed it."""
+
+    def parse(text):
+        value = float(text)
+        if not math.isfinite(value) or positive and not value > 0.0:
+            raise argparse.ArgumentTypeError(
+                f"must be finite{' and > 0' if positive else ''}, got {text}"
+            )
+        return value
+
+    parse.__name__ = "float"  # argparse's wording for text that is no number
+    return parse
+
+
 # Flags are (flag, add_argument keywords) pairs.  The inline system flags
 # and the integrator flags are read off Params, the preset tables and
 # IntegratorConfig.
@@ -111,13 +127,13 @@ _OUTPUT_FLAGS = (
 _ESTIMATOR_FLAGS = (
     ("--estimator", dict(choices=tuple(_ESTIMATORS), default="variational")),
     ("--d0", dict(type=float, default=1e-8, help="two-trajectory initial offset")),
-    ("--renorm-interval", dict(type=float, help="time between renormalizations")),
+    ("--renorm-interval", dict(type=_finite_float(True), help="time between renormalizations")),
     ("--transient-fraction", dict(type=float, default=0.1)),
 )
 _SECTION_FLAGS = (
     ("--section", dict(choices=("strobo", "vzero"), required=True)),
-    ("--period", dict(type=float, help="stroboscopic period (default 2*pi/omega)")),
-    ("--phase", dict(type=float, default=0.0)),
+    ("--period", dict(type=_finite_float(True), help="stroboscopic period (default 2*pi/omega)")),
+    ("--phase", dict(type=_finite_float(), default=0.0)),
     ("--direction", dict(choices=("rising", "falling", "any"), default="any")),
     ("--transient-fraction", dict(type=float, default=0.1)),
 )
@@ -249,7 +265,7 @@ COMMANDS = {
         "eigenvalue sign changes along a parameter axis",
         _axis_flags(steps=41)
         + (
-            ("--at-time", dict(type=float, default=1.0)),
+            ("--at-time", dict(type=_finite_float(), default=1.0)),
             ("--resolution", dict(type=float, default=1e-6)),
         ),
         _hopf,

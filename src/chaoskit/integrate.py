@@ -80,8 +80,13 @@ class Stroboscopic:
     columns = ("x", "v")
 
     def __post_init__(self):
-        if not self.period > 0.0:
-            raise ValidationError([f"stroboscopic period must be > 0, got {self.period}"])
+        msgs = []
+        if not 0.0 < self.period < math.inf:
+            msgs.append(f"stroboscopic period must be finite and > 0, got {self.period}")
+        if not math.isfinite(self.phase):
+            msgs.append(f"stroboscopic phase must be finite, got {self.phase}")
+        if msgs:
+            raise ValidationError(msgs)
 
     def event_run(self, t0, t_end, n):
         return _k.rk4_events_strobo, (self.period, self.phase), int((t_end - t0) / self.period) + 3

@@ -28,6 +28,7 @@ from .analysis import EnergyTrace
 from .integrate import Trajectory
 
 FLOAT_FMT = "%.17g"
+ROWS_PER_BLOCK = 1024
 
 
 def manifest_line(manifest: dict) -> str:
@@ -48,11 +49,17 @@ def read_manifest(path) -> dict:
 def _write_table(path, head, columns: dict, sep=","):
     """Write head, the column names joined by sep, then one line per index
     of the equal-length array columns.  Every row goes through one template:
-    float columns as FLOAT_FMT, text columns (labels, markers) as %s."""
+    float columns as FLOAT_FMT, text columns (labels, markers) as %s.  Rows
+    are formatted from Python lists, which is faster than from numpy scalars
+    and gives the same text, ROWS_PER_BLOCK at a time, so that a long table
+    never holds all its values as Python objects at once."""
     row = sep.join(FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in columns.values()) + "\n"
+    cols = list(columns.values())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + sep.join(columns) + "\n")
-        fh.writelines(map(row.__mod__, zip(*columns.values(), strict=True)))
+        for i in range(0, max(map(len, cols)), ROWS_PER_BLOCK):
+            block = [c[i : i + ROWS_PER_BLOCK].tolist() for c in cols]
+            fh.writelines(map(row.__mod__, zip(*block, strict=True)))
 
 
 def _csv_head(manifest):

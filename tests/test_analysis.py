@@ -150,6 +150,15 @@ def test_linearization_refuses_the_start_times_a_run_refuses():
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in rep.eigenvalues)
 
 
+@pytest.mark.parametrize("spec", [LINEAR, REGULARIZED])
+@pytest.mark.parametrize("at_time", [math.inf, math.nan])
+def test_linearization_refuses_a_non_finite_time(spec, at_time):
+    with pytest.raises(ValidationError, match="at_time must be finite"):
+        linearized_eigen(spec, at_time=at_time)
+    with pytest.raises(ValidationError, match="at_time must be finite"):
+        hopf_scan(spec, "alpha", 0.1, 1.0, at_time=at_time)
+
+
 def test_hopf_scan_finds_the_crossing_at_zero_damping():
     spec = SystemSpec(form=FORM_B, params=Params(alpha=0.5, beta=1.0))
     crossings = hopf_scan(spec, "alpha", -1.0, 1.0)
@@ -272,6 +281,22 @@ def test_estimators_reject_a_singular_start(fn):
     spec = SystemSpec(form=FORM_A1, params=Params(alpha=0.5, beta=1.0, q=1.0))
     with pytest.raises(SingularTime):
         fn(spec, INI, IntegratorConfig(method="rk4", dt=1e-2, t_end=2.0))
+
+
+@pytest.mark.parametrize("fn", [lyapunov_variational, lyapunov_two_trajectory])
+@pytest.mark.parametrize("interval", [math.inf, math.nan, 0.0, -1.0])
+def test_estimators_refuse_a_bad_renorm_interval(fn, interval):
+    # an infinite interval once overflowed int(round(interval / h))
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=2.0)
+    with pytest.raises(ValidationError, match="renorm_interval must be finite and > 0"):
+        fn(LINEAR, State(0.0, 1.0, 0.0), cfg, renorm_interval=interval)
+
+
+def test_a_renorm_interval_past_the_run_is_one_epoch():
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=2.0)
+    one = lyapunov_variational(LINEAR, State(0.0, 1.0, 0.0), cfg, renorm_interval=2.0)
+    huge = lyapunov_variational(LINEAR, State(0.0, 1.0, 0.0), cfg, renorm_interval=1e308)
+    assert huge.lam == one.lam and len(huge.convergence) == len(one.convergence) == 1
 
 
 @pytest.mark.parametrize(

@@ -243,11 +243,26 @@ def test_collapsed_tangent_vector_exits_two(tmp_path, capsys):
           "--lo2", "0", "--hi2", "1"], "axis 'alpha'"),
         (["hopf", *LINEAR, "--axis", "alpha", "--lo", "0", "--hi", "inf"], "axis 'alpha'"),
         (["simulate", *LINEAR, "--t-end", "inf"], "t_end"),
+        (["lyapunov", *LINEAR, "--renorm-interval", "inf"], "argument --renorm-interval"),
+        (["lyapunov", *LINEAR, "--renorm-interval", "0"], "argument --renorm-interval"),
+        ([*EVERY_COMMAND["map"][0], "--renorm-interval", "nan"], "argument --renorm-interval"),
+        ([*EVERY_COMMAND["critical"][0], "--renorm-interval", "inf"], "argument --renorm-interval"),
+        (["poincare", "--section", "strobo", "--period", "inf", *FORCED], "argument --period"),
+        (["poincare", "--section", "strobo", "--phase", "inf", *FORCED], "argument --phase"),
+        (["hopf", "--form", "A1", "--alpha", "0.5", "--beta", "1", "--axis", "alpha", "--lo", "-1",
+          "--hi", "1", "--at-time", "inf"], "argument --at-time"),
+        ([*EVERY_COMMAND["hopf"][0], "--at-time", "nan"], "argument --at-time"),
     ],
-    ids=["nan-param", "nan-preset", "infinite-map-axis", "infinite-hopf-axis", "infinite-t-end"],
+    ids=["nan-param", "nan-preset", "infinite-map-axis", "infinite-hopf-axis", "infinite-t-end",
+         "infinite-renorm-interval", "zero-renorm-interval", "nan-map-renorm-interval",
+         "infinite-critical-renorm-interval", "infinite-period", "infinite-phase",
+         "infinite-at-time", "nan-at-time"],
 )
 def test_non_finite_input_exits_one(tmp_path, capsys, args, key):
-    # each of these once ran (or died with a traceback) instead of being refused
+    # each of these once ran (or died with a traceback) instead of being refused:
+    # an infinite renorm interval or phase overflowed int(), an infinite period
+    # wrote Infinity into the manifest, and an infinite --at-time was named
+    # "state field t"
     run_flags = [] if args[0] == "hopf" or "--t-end" in args else ["--t-end", "1", "--dt", "0.1"]
     out = tmp_path / "x.out"
     assert run(args + run_flags + ["--out", str(out)]) == 1

@@ -213,5 +213,10 @@ def test_events_refuse_an_object_that_is_not_a_section():
 def test_event_configs_validate():
     with pytest.raises(ValidationError):
         Stroboscopic(period=0.0)
+    # an infinite period once ran to an empty section and an infinite phase
+    # overflowed int(ceil(...)) in the event kernel
+    for period, phase in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValidationError, match="period|phase"):
+            Stroboscopic(period=period, phase=phase)
     with pytest.raises(ValidationError):
         VelocityZeroCrossing(direction="sideways")
