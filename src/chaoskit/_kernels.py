@@ -3,13 +3,15 @@
 Every function here is compiled with numba when it is importable; setting
 ``CHAOS_NO_NUMBA=1`` (or ``true``/``yes``/``on``) in the environment before
 import forces the plain-Python fallback, which runs the identical code paths
-through the interpreter.  Kernels take the system as a packed vector (see
-layout constants below), so the same code serves every form and preset.
-Compiled kernels read it as a float64 array.  Every kernel call from the
-package goes through ``model.run_kernel``, which packs the spec, hands the
-fallback the same values as a list of Python floats and reruns a call on
-the float64 array where Python arithmetic raises (``**`` overflow, division
-by zero) and float64 gives inf or nan.
+through the interpreter.  Every function that reads the system takes it
+first, as a packed vector ``P`` (see layout constants below), so the same
+code serves every form and preset.  Compiled kernels read it as a float64
+array.  The package reaches a kernel only as
+``model.run_kernel(spec, kernel, *args)``, which packs the spec and calls
+``kernel(P, *args)``; the fallback gets ``P`` as a list of Python floats,
+and a call that raises where float64 gives inf or nan (``**`` overflow,
+division by zero) reruns on the float64 vector with every float argument
+as a float64 scalar, as compiled code would run it.
 
 Under the fallback a step costs interpreter work, not arithmetic, so the
 kernels spend as little of it as they can without changing one
@@ -77,7 +79,7 @@ DEGENERATE = 3
 
 
 @_jit
-def g_value(u, P):
+def g_value(P, u):
     """Restoring force g(u) for the packed preset."""
     kind = P[G_KIND]
     if kind == 1.0:
@@ -91,7 +93,7 @@ def g_value(u, P):
 
 
 @_jit
-def g_slope(u, P):
+def g_slope(P, u):
     """Derivative g'(u) for the packed preset."""
     kind = P[G_KIND]
     if kind == 1.0:
@@ -105,15 +107,15 @@ def g_slope(u, P):
 
 
 @_jit
-def rhs(t, x, v, P):
+def rhs(P, t, x, v):
     """Acceleration x'' for the packed system at state (t, x, v).
 
     Parameters
     ----------
-    t, x, v : float
-        Time, position, velocity.
     P : float64[:] or list of float
         Packed system vector (see module layout constants).
+    t, x, v : float
+        Time, position, velocity.
 
     Returns
     -------
@@ -138,12 +140,12 @@ def rhs(t, x, v, P):
     force = P[DELTA] * (sin(wx) if wx - wx == 0.0 else nan)
     if form == 0.0:
         u = x + coup * v
-        return -(P[ALPHA] / tq * v + g_value(u, P) + eps * x + force)
-    return -(P[ALPHA] / tq * v + g_value(x, P) + coup * v + eps * x + force)
+        return -(P[ALPHA] / tq * v + g_value(P, u) + eps * x + force)
+    return -(P[ALPHA] / tq * v + g_value(P, x) + coup * v + eps * x + force)
 
 
 @_jit
-def rhs_tangent(t, x, v, dx, dv, P):
+def rhs_tangent(P, t, x, v, dx, dv):
     """Directional derivative of rhs along (dx, dv) at state (t, x, v)."""
     form = P[FORM]
     if form == 2.0:
@@ -157,66 +159,66 @@ def rhs_tangent(t, x, v, dx, dv, P):
     wx = P[OMEGA] * x
     force_x = P[DELTA] * P[OMEGA] * (cos(wx) if wx - wx == 0.0 else nan)
     if form == 0.0:
-        gp = g_slope(x + coup * v, P)
+        gp = g_slope(P, x + coup * v)
         return -((gp + eps + force_x) * dx + (P[ALPHA] / tq + gp * coup) * dv)
-    gp = g_slope(x, P)
+    gp = g_slope(P, x)
     return -((gp + eps + force_x) * dx + (P[ALPHA] / tq + coup) * dv)
 
 
 @_jit
-def rhs_array(ts, xs, vs, P):
+def rhs_array(P, ts, xs, vs):
     """Vectorized rhs over parallel sample arrays."""
     out = np.empty_like(ts)
     for i in range(ts.shape[0]):
-        out[i] = rhs(ts[i], xs[i], vs[i], P)
+        out[i] = rhs(P, ts[i], xs[i], vs[i])
     return out
 
 
 @_jit
-def rk4_step(t, x, v, h, P):
+def rk4_step(P, t, x, v, h):
     """One classical RK4 step of size h; returns (x, v) at t + h."""
     hh = 0.5 * h
     th = t + hh
-    a1 = rhs(t, x, v, P)
+    a1 = rhs(P, t, x, v)
     x2 = x + hh * v
     v2 = v + hh * a1
-    a2 = rhs(th, x2, v2, P)
+    a2 = rhs(P, th, x2, v2)
     x3 = x + hh * v2
     v3 = v + hh * a2
-    a3 = rhs(th, x3, v3, P)
+    a3 = rhs(P, th, x3, v3)
     x4 = x + h * v3
     v4 = v + h * a3
-    a4 = rhs(t + h, x4, v4, P)
+    a4 = rhs(P, t + h, x4, v4)
     xn = x + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
     vn = v + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
     return xn, vn
 
 
 @_jit
-def rk4_tangent_step(t, x, v, ux, uv, h, P):
+def rk4_tangent_step(P, t, x, v, ux, uv, h):
     """One RK4 step of the trajectory with its tangent vector (ux, uv) attached."""
     hh = 0.5 * h
     th = t + hh
-    a1 = rhs(t, x, v, P)
-    b1 = rhs_tangent(t, x, v, ux, uv, P)
+    a1 = rhs(P, t, x, v)
+    b1 = rhs_tangent(P, t, x, v, ux, uv)
     x2 = x + hh * v
     v2 = v + hh * a1
     p2 = ux + hh * uv
     q2 = uv + hh * b1
-    a2 = rhs(th, x2, v2, P)
-    b2 = rhs_tangent(th, x2, v2, p2, q2, P)
+    a2 = rhs(P, th, x2, v2)
+    b2 = rhs_tangent(P, th, x2, v2, p2, q2)
     x3 = x + hh * v2
     v3 = v + hh * a2
     p3 = ux + hh * q2
     q3 = uv + hh * b2
-    a3 = rhs(th, x3, v3, P)
-    b3 = rhs_tangent(th, x3, v3, p3, q3, P)
+    a3 = rhs(P, th, x3, v3)
+    b3 = rhs_tangent(P, th, x3, v3, p3, q3)
     x4 = x + h * v3
     v4 = v + h * a3
     p4 = ux + h * q3
     q4 = uv + h * b3
-    a4 = rhs(t + h, x4, v4, P)
-    b4 = rhs_tangent(t + h, x4, v4, p4, q4, P)
+    a4 = rhs(P, t + h, x4, v4)
+    b4 = rhs_tangent(P, t + h, x4, v4, p4, q4)
     xn = x + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
     vn = v + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
     un = ux + h * (uv + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
@@ -254,7 +256,7 @@ def rk4_trajectory(P, t0, x0, v0, h, n_steps, sample_every, blowup, out_t, out_x
         return DIVERGED, 1, t
     m = 1
     for i in range(n_steps):
-        x, v = rk4_step(t, x, v, h, P)
+        x, v = rk4_step(P, t, x, v, h)
         t = t0 + (i + 1) * h
         if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, m, t
@@ -314,7 +316,7 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
         if last:
             h = t_end - t
         kx[0] = v
-        kv[0] = rhs(t, x, v, P)
+        kv[0] = rhs(P, t, x, v)
         for i in range(1, 6):
             a = A[i]
             sx = a[0] * kx[0]
@@ -323,7 +325,7 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
                 sx += a[j] * kx[j]
                 sv += a[j] * kv[j]
             kx[i] = v + h * sv
-            kv[i] = rhs(t + C[i] * h, x + h * sx, kx[i], P)
+            kv[i] = rhs(P, t + C[i] * h, x + h * sx, kx[i])
         sx = B5[0] * kx[0]
         sv = B5[0] * kv[0]
         ex = E[0] * kx[0]
@@ -429,14 +431,14 @@ def rk4_events_strobo(
     for i in range(n_steps):
         t_next = t0 + (i + 1) * h
         while te <= t_next + 1e-9 * h:
-            xe, ve = rk4_step(t, x, v, te - t, P)
+            xe, ve = rk4_step(P, t, x, v, te - t)
             ev_t[ne] = te
             ev_x[ne] = xe
             ev_v[ne] = ve
             ne += 1
             k += 1
             te = phase + k * period
-        x, v = rk4_step(t, x, v, h, P)
+        x, v = rk4_step(P, t, x, v, h)
         t = t_next
         if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, m, ne, t
@@ -487,7 +489,7 @@ def rk4_events_vzero(
     ne = 0
     last_ev = t0 - 2.0 * h
     if v == 0.0:
-        a0 = rhs(t, x, v, P)
+        a0 = rhs(P, t, x, v)
         if direction == 0 or (direction > 0 and a0 > 0.0) or (direction < 0 and a0 < 0.0):
             ev_t[ne] = t
             ev_x[ne] = x
@@ -498,7 +500,7 @@ def rk4_events_vzero(
         t_prev = t
         x_prev = x
         v_prev = v
-        x, v = rk4_step(t, x, v, h, P)
+        x, v = rk4_step(P, t, x, v, h)
         t = t0 + (i + 1) * h
         if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, m, ne, t
@@ -506,7 +508,7 @@ def rk4_events_vzero(
             hit = direction == 0 or (direction > 0 and v_prev < 0.0) or (direction < 0 and v_prev > 0.0)
             if hit:
                 tau = t_prev + h * v_prev / (v_prev - v)
-                xe, ve = rk4_step(t_prev, x_prev, v_prev, tau - t_prev, P)
+                xe, ve = rk4_step(P, t_prev, x_prev, v_prev, tau - t_prev)
                 if ve != v_prev:
                     tau2 = tau - ve * (tau - t_prev) / (ve - v_prev)
                 else:
@@ -515,7 +517,7 @@ def rk4_events_vzero(
                     tau2 = t_prev
                 elif tau2 > t:
                     tau2 = t
-                xe, ve = rk4_step(t_prev, x_prev, v_prev, tau2 - t_prev, P)
+                xe, ve = rk4_step(P, t_prev, x_prev, v_prev, tau2 - t_prev)
                 if tau2 - last_ev >= h:
                     ev_t[ne] = tau2
                     ev_x[ne] = xe
@@ -523,7 +525,7 @@ def rk4_events_vzero(
                     ne += 1
                     last_ev = tau2
         elif v == 0.0 and v_prev != 0.0:
-            a = rhs(t, x, v, P)
+            a = rhs(P, t, x, v)
             hit = direction == 0 or (direction > 0 and a > 0.0) or (direction < 0 and a < 0.0)
             if hit and t - last_ev >= h:
                 ev_t[ne] = t
@@ -575,8 +577,8 @@ def benettin(
     acc = transient_steps == 0
     t_acc = t0
     for i in range(n_steps):
-        x1, v1 = rk4_step(t, x1, v1, h, P)
-        x2, v2 = rk4_step(t, x2, v2, h, P)
+        x1, v1 = rk4_step(P, t, x1, v1, h)
+        x2, v2 = rk4_step(P, t, x2, v2, h)
         t = t0 + (i + 1) * h
         if (
             not (isfinite(x1) and isfinite(v1) and isfinite(x2) and isfinite(v2))
@@ -642,7 +644,7 @@ def variational(
     acc = transient_steps == 0
     t_acc = t0
     for i in range(n_steps):
-        x, v, ux, uv = rk4_tangent_step(t, x, v, ux, uv, h, P)
+        x, v, ux, uv = rk4_tangent_step(P, t, x, v, ux, uv, h)
         t = t0 + (i + 1) * h
         if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
             return DIVERGED, 0.0, nconv, t, t_acc

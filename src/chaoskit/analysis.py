@@ -234,11 +234,13 @@ _COLLAPSED = {  # what a DEGENERATE status means for each estimator
 }
 
 
-def _estimate(method, spec, initial, cfg, renorm_interval, transient_fraction, kernel):
+def _estimate(
+    method, spec, initial, cfg, renorm_interval, transient_fraction, kernel, head, tail
+):
     """Check the run, lay out its epochs and return the LyapunovEstimate of
-    kernel(P, grid, conv), or raise the failure its status names.  grid holds
-    the kernel's (h, n, renorm_steps, transient_steps) arguments in order and
-    conv its two convergence buffers."""
+    kernel(P, *head, *grid, *tail, *conv), or raise the failure its status
+    names.  grid holds the kernel's (h, n, renorm_steps, transient_steps)
+    arguments in order and conv its two convergence buffers."""
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
     if renorm_interval is not None and not 0.0 < renorm_interval < math.inf:
@@ -253,7 +255,7 @@ def _estimate(method, spec, initial, cfg, renorm_interval, transient_fraction, k
     transient_steps = max(min(int(round(transient_fraction * n)), n - renorm_steps), 0)
     grid = (h, n, renorm_steps, transient_steps)
     conv = (np.empty(n // renorm_steps + 2), np.empty(n // renorm_steps + 2))
-    status, lam, nconv, fail_t, t_acc = run_kernel(spec, lambda P: kernel(P, grid, conv))
+    status, lam, nconv, fail_t, t_acc = run_kernel(spec, kernel, *head, *grid, *tail, *conv)
     if status == _k.DIVERGED:
         raise DivergedTrajectory(fail_t)
     if status == _k.DEGENERATE:
@@ -288,9 +290,7 @@ def lyapunov_two_trajectory(
         raise ValueError(f"d0 must lie in [{D0_MIN:g}, {D0_MAX:g}], got {d0:g}")
     return _estimate(
         "two_trajectory", spec, initial, cfg, renorm_interval, transient_fraction,
-        lambda P, grid, conv: _k.benettin(
-            P, initial.t, initial.x, initial.v, *grid, d0, cfg.blowup_threshold, *conv
-        ),
+        _k.benettin, (initial.t, initial.x, initial.v), (d0, cfg.blowup_threshold),
     )
 
 
@@ -308,11 +308,11 @@ def lyapunov_variational(
     tangent vector to unit length at each epoch.
     """
     ux0, uv0 = float(tangent0[0]), float(tangent0[1])
+    if not (math.isfinite(ux0) and math.isfinite(uv0)):
+        raise ValueError(f"tangent0 must be finite, got ({ux0}, {uv0})")
     if ux0 == 0.0 and uv0 == 0.0:
         raise ValueError("tangent0 must be a nonzero vector")
     return _estimate(
         "variational", spec, initial, cfg, renorm_interval, transient_fraction,
-        lambda P, grid, conv: _k.variational(
-            P, initial.t, initial.x, initial.v, ux0, uv0, *grid, cfg.blowup_threshold, *conv
-        ),
+        _k.variational, (initial.t, initial.x, initial.v, ux0, uv0), (cfg.blowup_threshold,),
     )

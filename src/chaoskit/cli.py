@@ -7,8 +7,8 @@ byte-for-byte from that manifest alone (there is no rerun subcommand).
 
 Exit codes: 0 on success (a diverged trajectory is still data and exits 0
 with its status recorded), 1 for validation problems (reported one per line
-on stderr), 2 for runtime failures such as an unbracketed boundary or a
-trajectory that escapes mid-estimate.
+on stderr), 2 for runtime failures such as an unbracketed boundary, a
+trajectory that escapes mid-estimate or a run too long to allocate.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ _INTEGRATOR_FLAGS = tuple(
 # the fixed rk4 grid reads no method, tolerance or sampling setting
 _GRID_FLAGS = tuple(f for f in _INTEGRATOR_FLAGS if f[0] in ("--dt", "--t-end", "--blowup-threshold"))
 _INITIAL_FLAGS = (
-    ("--t0", dict(type=float, help="start time (default 0 for form B, 1 for A1/A2)")),
-    ("--x0", dict(type=float, default=1.0)),
-    ("--v0", dict(type=float, default=0.0)),
+    ("--t0", dict(type=_finite_float(), help="start time (default 0 for form B, 1 for A1/A2)")),
+    ("--x0", dict(type=_finite_float(), default=1.0)),
+    ("--v0", dict(type=_finite_float(), default=0.0)),
 )
 _OUTPUT_FLAGS = (
     ("--out", dict(required=True, metavar="FILE")),
@@ -251,7 +251,12 @@ COMMANDS = {
     "lyapunov": Command(
         "largest Lyapunov exponent estimate",
         _ESTIMATOR_FLAGS
-        + (("--tangent0", dict(type=float, nargs=2, default=(1.0, 0.0), metavar=("UX", "UV"))),),
+        + (
+            (
+                "--tangent0",
+                dict(type=_finite_float(), nargs=2, default=(1.0, 0.0), metavar=("UX", "UV")),
+            ),
+        ),
         lambda spec, opts, initial, cfg: _ESTIMATORS[opts["estimator"]](
             spec, initial, cfg, **_estimator_kwargs(opts)
         ),
@@ -444,7 +449,7 @@ def main(argv=None) -> int:
     except (InvalidAxis, SectionMismatch, SingularTime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ChaoskitError, OSError) as exc:
+    except (ChaoskitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

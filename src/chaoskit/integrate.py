@@ -89,7 +89,11 @@ class Stroboscopic:
             raise ValidationError(msgs)
 
     def event_run(self, t0, t_end, n):
-        return _k.rk4_events_strobo, (self.period, self.phase), int((t_end - t0) / self.period) + 3
+        # the residue names the same times; a huge phase would swamp the
+        # period in phase + k*period and stall the event times.  fmod keeps
+        # the sign, so every |phase| < period runs unchanged
+        phase = math.fmod(self.phase, self.period)
+        return _k.rk4_events_strobo, (self.period, phase), int((t_end - t0) / self.period) + 3
 
 
 _DIRECTIONS = {"rising": 1, "falling": -1, "any": 0}
@@ -205,27 +209,22 @@ def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajec
     if cfg.method == "rk4":
         out = _buffers(n // cfg.sample_every + 3)
         status, m, fail_t = run_kernel(
-            spec,
-            lambda P: _k.rk4_trajectory(
-                P, t0, x0, v0, h, n, cfg.sample_every, cfg.blowup_threshold, *out
-            ),
+            spec, _k.rk4_trajectory, t0, x0, v0, h, n, cfg.sample_every, cfg.blowup_threshold, *out
         )
         return _trajectory(spec, cfg, status, fail_t, *out, m)
     status, t, x, v, fail_t = run_kernel(
         spec,
-        lambda P: _k.rkf45_trajectory(
-            P,
-            t0,
-            x0,
-            v0,
-            cfg.t_end,
-            cfg.dt,
-            cfg.abs_tol,
-            cfg.rel_tol,
-            cfg.sample_every,
-            cfg.blowup_threshold,
-            1e-12 * cfg.dt,
-        ),
+        _k.rkf45_trajectory,
+        t0,
+        x0,
+        v0,
+        cfg.t_end,
+        cfg.dt,
+        cfg.abs_tol,
+        cfg.rel_tol,
+        cfg.sample_every,
+        cfg.blowup_threshold,
+        1e-12 * cfg.dt,
     )
     return _trajectory(spec, cfg, status, fail_t, t, x, v)
 
@@ -248,21 +247,19 @@ def integrate_with_events(
     ev_t, ev_x, ev_v = _buffers(ne_cap)
     status, m, ne, fail_t = run_kernel(
         spec,
-        lambda P: kernel(
-            P,
-            initial.t,
-            initial.x,
-            initial.v,
-            h,
-            n,
-            cfg.sample_every,
-            cfg.blowup_threshold,
-            *event_args,
-            *out,
-            ev_t,
-            ev_x,
-            ev_v,
-        ),
+        kernel,
+        initial.t,
+        initial.x,
+        initial.v,
+        h,
+        n,
+        cfg.sample_every,
+        cfg.blowup_threshold,
+        *event_args,
+        *out,
+        ev_t,
+        ev_x,
+        ev_v,
     )
     events = EventRecord(ev_t[:ne].copy(), ev_x[:ne].copy(), ev_v[:ne].copy())
     return _trajectory(spec, cfg, status, fail_t, *out, m), events

@@ -356,25 +356,28 @@ def pack_spec(spec: SystemSpec) -> np.ndarray:
     return P
 
 
-def run_kernel(spec: SystemSpec, call):
-    """call(P) for the packed spec P: the one path from a spec into a kernel.
+def run_kernel(spec: SystemSpec, kernel, *args):
+    """kernel(P, *args) for the packed spec P: the one path from a spec into
+    a kernel.
 
     Compiled kernels take the float64 vector as it is.  The fallback reads
     it as Python floats (``P.tolist()``), whose arithmetic runs about twice
     as fast as on numpy scalars.  Python floats raise where float64 gives
     inf or nan (``**`` overflow, division by zero), so a call that raises
-    ``ArithmeticError`` reruns on the vector; results keep the vector's bits.
-    The fallback runs with numpy's floating-point warnings off, as compiled
-    code does: every caller judges the result by its status or finiteness.
+    ``ArithmeticError`` reruns on the vector with every float argument as
+    ``np.float64``: an all-float64 run, whose results are those of compiled
+    float64 code.  The fallback runs with numpy's floating-point warnings
+    off, as compiled code does: every caller judges the result by its status
+    or finiteness.
     """
     P = pack_spec(spec)
     if _k.NUMBA_ENABLED:
-        return call(P)
+        return kernel(P, *args)
     with np.errstate(all="ignore"):
         try:
-            return call(P.tolist())
+            return kernel(P.tolist(), *args)
         except ArithmeticError:
-            return call(P)
+            return kernel(P, *(np.float64(a) if isinstance(a, float) else a for a in args))
 
 
 def _check_time(spec: SystemSpec, t: float):
@@ -384,13 +387,13 @@ def _check_time(spec: SystemSpec, t: float):
         raise SingularTime(f"power-law regularization is singular at t = {t:.6g}")
 
 
-def _at_state(spec: SystemSpec, s: State, what: str, call) -> float:
-    """call(P, t, x, v) at the state s, as a finite float.  On float64 scalars
-    an overflow is inf as on the vector, and 1/t^q of a negative t is nan,
-    never complex (validate refuses q, p < 0)."""
+def _at_state(spec: SystemSpec, s: State, what: str, kernel, *args) -> float:
+    """kernel(P, t, x, v, *args) at the state s, as a finite float.  On
+    float64 scalars an overflow is inf as on the vector, and 1/t^q of a
+    negative t is nan, never complex (validate refuses q, p < 0)."""
     _check_time(spec, s.t)
     t, x, v = np.float64(s.t), np.float64(s.x), np.float64(s.v)
-    value = float(run_kernel(spec, lambda P: call(P, t, x, v)))
+    value = float(run_kernel(spec, kernel, t, x, v, *args))
     if not math.isfinite(value):
         raise NonFinite(f"{what} is not finite at t = {s.t:.6g}")
     return value
@@ -402,16 +405,14 @@ def accel(spec: SystemSpec, s: State) -> float:
     Raises SingularTime when a 1/t^q or 1/t^p factor blows up at s.t, and
     NonFinite when the evaluation overflows.
     """
-    return _at_state(spec, s, "acceleration", lambda P, t, x, v: _k.rhs(t, x, v, P))
+    return _at_state(spec, s, "acceleration", _k.rhs)
 
 
 def tangent_accel(spec: SystemSpec, s: State, ds) -> float:
     """Directional derivative of the acceleration along ds = (dx, dv) at s;
     it fails as ``accel`` does."""
     dx, dv = map(float, ds)
-    return _at_state(
-        spec, s, "tangent acceleration", lambda P, t, x, v: _k.rhs_tangent(t, x, v, dx, dv, P)
-    )
+    return _at_state(spec, s, "tangent acceleration", _k.rhs_tangent, dx, dv)
 
 
 def accel_array(spec: SystemSpec, t, x, v) -> np.ndarray:
@@ -419,7 +420,7 @@ def accel_array(spec: SystemSpec, t, x, v) -> np.ndarray:
     t = np.ascontiguousarray(t, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
-    return run_kernel(spec, lambda P: _k.rhs_array(t, x, v, P))
+    return run_kernel(spec, _k.rhs_array, t, x, v)
 
 
 def validate(spec: SystemSpec, theorem_mode: bool = False) -> SystemSpec:

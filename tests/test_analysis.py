@@ -269,6 +269,18 @@ def test_companion_offset_is_bounded():
         lyapunov_two_trajectory(LINEAR, INI, CFG, d0=1e-12)
 
 
+@pytest.mark.parametrize(
+    "tangent0, wording",
+    [((0.0, 0.0), "a nonzero vector"), ((math.inf, 0.0), "finite"), ((0.0, math.nan), "finite")],
+    ids=["zero", "infinite", "nan"],
+)
+def test_tangent0_must_be_finite_and_nonzero(tangent0, wording):
+    # a non-finite one once ran and was reported as a tangent overflow at
+    # the first step
+    with pytest.raises(ValueError, match=f"tangent0 must be {wording}"):
+        lyapunov_variational(LINEAR, INI, CFG, tangent0=tangent0)
+
+
 def test_estimators_require_fixed_grid():
     cfg = IntegratorConfig(method="rkf45", dt=1e-2, t_end=10.0)
     with pytest.raises(ValueError):
@@ -307,11 +319,11 @@ def test_a_renorm_interval_past_the_run_is_one_epoch():
     ],
 )
 def test_collapse_is_worded_per_estimator(method, wording):
-    def collapsed(P, grid, conv):
+    def collapsed(P, *args):
         return _k.DEGENERATE, 0.0, 0, 0.0, 0.0
 
     with pytest.raises(DegenerateSeparation, match=wording):
-        analysis._estimate(method, LINEAR, INI, CFG, None, 0.1, collapsed)
+        analysis._estimate(method, LINEAR, INI, CFG, None, 0.1, collapsed, (), ())
 
 
 def test_escaping_cell_raises_diverged_trajectory():

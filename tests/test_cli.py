@@ -193,6 +193,39 @@ def test_overflow_rerun_map_prints_no_warning(tmp_path, capsys):
     assert [line.split(",")[3] for line in out.read_text().splitlines()[2:]] == ["diverged"] * 4
 
 
+# x0**100 of this form-B run overflows a Python float at the start state
+# itself; a rerun that kept the start state as Python floats raised there
+# again and ended each of these in a traceback
+START_OVERFLOWING_B = ["--form", "B", "--alpha", "0.1", "--beta", "1", "--gamma", "1", "--delta",
+                       "1", "--omega", "2", "--n", "100", "--x0", "1e4", "--t-end", "1", "--dt",
+                       "1e-2"]
+
+
+def test_start_overflow_is_diverged_at_the_first_step(tmp_path, capsys):
+    out, plot = tmp_path / "esc.csv", tmp_path / "esc.dat"
+    assert run(["simulate", *START_OVERFLOWING_B, "--out", str(out), "--plot-out", str(plot)]) == 0
+    assert json.loads((tmp_path / "esc.dat.meta.json").read_text())["status"] == "diverged"
+    lmap = tmp_path / "map.csv"
+    code = run(["map", *START_OVERFLOWING_B, "--axis1", "delta", "--lo1", "0.5", "--hi1", "1",
+                "--steps1", "2", "--axis2", "omega", "--lo2", "1", "--hi2", "2", "--steps2", "2",
+                "--out", str(lmap)])
+    assert code == 0
+    assert [line.split(",")[3] for line in lmap.read_text().splitlines()[2:]] == ["diverged"] * 4
+    assert capsys.readouterr().err == ""
+    assert run(["lyapunov", *START_OVERFLOWING_B, "--out", str(tmp_path / "lyap.json")]) == 2
+    assert capsys.readouterr().err == "error: trajectory diverged at t = 0.01\n"
+
+
+def test_a_run_too_long_to_allocate_is_one_error_line(tmp_path, capsys):
+    # 7 PiB of samples exceed any address space, so nothing is allocated
+    out = tmp_path / "long.csv"
+    code = run(["simulate", *LINEAR, "--t-end", "1e12", "--dt", "1e-3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
 # the tangent vector of this A1 run overflows at gamma = 1 (t = 1.57) and
 # stays finite at gamma = 0
 OVERFLOWING_TANGENT = ["--form", "A1", "--alpha", "0.1", "--g", "Sine", "--g-k", "1000",
@@ -252,17 +285,24 @@ def test_collapsed_tangent_vector_exits_two(tmp_path, capsys):
         (["hopf", "--form", "A1", "--alpha", "0.5", "--beta", "1", "--axis", "alpha", "--lo", "-1",
           "--hi", "1", "--at-time", "inf"], "argument --at-time"),
         ([*EVERY_COMMAND["hopf"][0], "--at-time", "nan"], "argument --at-time"),
+        (["simulate", *LINEAR, "--t0", "nan"], "argument --t0"),
+        (["simulate", *LINEAR, "--x0", "inf"], "argument --x0"),
+        (["poincare", "--section", "vzero", *LINEAR, "--v0=-inf"], "argument --v0"),
+        (["lyapunov", *LINEAR, "--tangent0", "inf", "0"], "argument --tangent0"),
+        (["lyapunov", *LINEAR, "--tangent0", "0", "nan"], "argument --tangent0"),
     ],
     ids=["nan-param", "nan-preset", "infinite-map-axis", "infinite-hopf-axis", "infinite-t-end",
          "infinite-renorm-interval", "zero-renorm-interval", "nan-map-renorm-interval",
          "infinite-critical-renorm-interval", "infinite-period", "infinite-phase",
-         "infinite-at-time", "nan-at-time"],
+         "infinite-at-time", "nan-at-time", "nan-t0", "infinite-x0", "infinite-v0",
+         "infinite-tangent0", "nan-tangent0"],
 )
 def test_non_finite_input_exits_one(tmp_path, capsys, args, key):
     # each of these once ran (or died with a traceback) instead of being refused:
     # an infinite renorm interval or phase overflowed int(), an infinite period
-    # wrote Infinity into the manifest, and an infinite --at-time was named
-    # "state field t"
+    # wrote Infinity into the manifest, an infinite --at-time, --t0, --x0 or
+    # --v0 was named "state field t" (or x, v), and a non-finite --tangent0
+    # was reported as a tangent overflow at the first step
     run_flags = [] if args[0] == "hopf" or "--t-end" in args else ["--t-end", "1", "--dt", "0.1"]
     out = tmp_path / "x.out"
     assert run(args + run_flags + ["--out", str(out)]) == 1

@@ -1,12 +1,14 @@
 """The fallback kernels read the packed spec as Python floats.
 
 ``model.run_kernel`` hands the fallback ``P.tolist()`` and reruns a call on
-the float64 vector when Python arithmetic raises ``ArithmeticError`` where
-float64 gives inf or nan.  These tests hold every call path to the vector's
-bits, including the runs that escape, overflow or raise.
+the float64 vector, with its float arguments as float64 scalars, when Python
+arithmetic raises ``ArithmeticError`` where float64 gives inf or nan.  These
+tests hold every call path to the bits of the all-float64 call, including
+the runs that escape, overflow or raise.
 """
 
 import importlib
+import inspect
 import itertools
 
 import numpy as np
@@ -59,6 +61,14 @@ ESCAPE = SystemSpec(
 )
 ESCAPE_START = State(1.0, 3.0, 0.0)
 ESCAPE_RUN = IntegratorConfig(dt=0.05, t_end=10.0, blowup_threshold=1e150)
+# x0**100 overflows a Python float at the start state itself, so a rerun
+# that kept the start state as Python floats raised again; in float64 the
+# first step is inf and every fixed-step run diverges at t = 0.01
+START_OVERFLOW = SystemSpec(
+    form=FORM_B, params=Params(alpha=0.1, beta=1.0, gamma=1.0, delta=1.0, omega=2.0, n=100)
+)
+START_OVERFLOW_AT = State(0.0, 1e4, 0.0)
+START_OVERFLOW_RUN = IntegratorConfig(dt=1e-2, t_end=1.0)
 BLOWUPS = (1e8, 1e150, 1e300)
 
 
@@ -99,12 +109,10 @@ def _random_runs(seed):
         yield spec, State(float(rng.choice([0.5, 1.0])), x0, float(rng.uniform(-3.0, 3.0))), blowup
 
 
-def _arrays(call):
-    """The arrays a kernel call's closure holds, alone or in a tuple: its
-    output buffers and input samples."""
-    held = [cell.cell_contents for cell in call.__closure__ or ()]
-    items = [a for h in held for a in (h if isinstance(h, tuple) else (h,))]
-    return [a for a in items if isinstance(a, np.ndarray)]
+def _arrays(args):
+    """The arrays among a kernel call's arguments: its output buffers and
+    input samples."""
+    return [a for a in args if isinstance(a, np.ndarray)]
 
 
 def _call(thunk, arrays):
@@ -144,64 +152,81 @@ def _paths(spec, start, blowup):
     }
 
 
+def _fixed_step_ends(spec, start, cfg):
+    """(status, time) where each of the five fixed-step paths ends: three
+    runs and the two estimators, which must raise DivergedTrajectory."""
+    runs = [
+        integrate(spec, start, cfg),
+        integrate_with_events(spec, start, cfg, Stroboscopic(period=0.7))[0],
+        integrate_with_events(spec, start, cfg, VelocityZeroCrossing())[0],
+    ]
+    ends = [(traj.status, traj.status_time) for traj in runs]
+    for estimator in (lyapunov_two_trajectory, lyapunov_variational):
+        with pytest.raises(DivergedTrajectory) as info:
+            estimator(spec, start, cfg)
+        ends.append((DIVERGED, info.value.at_time))
+    return ends
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_python_floats_keep_the_vector_bits(monkeypatch):
     # each kernel call of every path runs twice from the same arrays: on the
-    # float64 vector, then through run_kernel; both must leave the same bits
+    # float64 vector with float64 scalars, then through run_kernel; both
+    # must leave the same bits, and the all-float64 call must never raise
     records, handed, reruns, path = [], [], [], [None]
 
-    def twin(spec, call):
-        arrays = _arrays(call)
+    def twin(spec, kernel, *args):
+        arrays = _arrays(args)
         saved = [a.copy() for a in arrays]
-        _, _, want = _call(lambda: call(pack_spec(spec)), arrays)
+        scalars = [np.float64(a) if isinstance(a, float) else a for a in args]
+        with np.errstate(all="ignore"):
+            _, raised, want = _call(lambda: kernel(pack_spec(spec), *scalars), arrays)
         for a, before in zip(arrays, saved):
             a[...] = before
 
-        def spy(P):
+        def spy(P, *rest):
             handed.append(type(P))
             try:
-                return call(P)
+                return kernel(P, *rest)
             except ArithmeticError:
                 reruns.append(path[0])
                 raise
 
-        result, exc, got = _call(lambda: run_kernel(spec, spy), arrays)
-        records.append((path[0], want, got))
+        result, exc, got = _call(lambda: run_kernel(spec, spy, *args), arrays)
+        records.append((path[0], raised, want, got))
         if exc is not None:
             raise exc
         return result
 
     for module in (model, integrate_mod, analysis):
         monkeypatch.setattr(module, "run_kernel", twin)
-    for spec, start, blowup in _random_runs(8):
+    runs = itertools.chain(_random_runs(8), [(START_OVERFLOW, START_OVERFLOW_AT, 1e8)])
+    for spec, start, blowup in runs:
         paths = _paths(spec, start, blowup)
         for path[0], run in paths.items():
             try:
                 run()
             except (ArithmeticError, ValueError, ChaoskitError):
                 pass
-    assert {name for name, _, _ in records} == set(paths)
-    # the escaping A-form run diverges at 1.15 on all five fixed-step paths
+    assert {record[0] for record in records} == set(paths)
+    # the escaping A-form run diverges at 1.15 and the start-overflow run at
+    # 0.01, on all five fixed-step paths
     path[0] = "escape"
-    runs = [
-        integrate(ESCAPE, ESCAPE_START, ESCAPE_RUN),
-        integrate_with_events(ESCAPE, ESCAPE_START, ESCAPE_RUN, Stroboscopic(period=0.7))[0],
-        integrate_with_events(ESCAPE, ESCAPE_START, ESCAPE_RUN, VelocityZeroCrossing())[0],
-    ]
-    escapes = [(traj.status, traj.status_time) for traj in runs]
-    for estimator in (lyapunov_two_trajectory, lyapunov_variational):
-        with pytest.raises(DivergedTrajectory) as info:
-            estimator(ESCAPE, ESCAPE_START, ESCAPE_RUN)
-        escapes.append((DIVERGED, info.value.at_time))
-    assert escapes == [(DIVERGED, pytest.approx(1.15))] * 5
-    assert [name for name, want, got in records if want != got] == []
-    # not vacuous: the set holds completed and diverged calls, and on the
-    # fallback Python floats go in and some calls rerun on the vector
-    first = {want[0][0] for _, want, _ in records}
+    ends = _fixed_step_ends(ESCAPE, ESCAPE_START, ESCAPE_RUN)
+    assert ends == [(DIVERGED, pytest.approx(1.15))] * 5
+    path[0] = "start overflow"
+    ends = _fixed_step_ends(START_OVERFLOW, START_OVERFLOW_AT, START_OVERFLOW_RUN)
+    assert ends == [(DIVERGED, pytest.approx(0.01))] * 5
+    assert [name for name, _, want, got in records if want != got] == []
+    # not vacuous: the reference never fails in arithmetic, the set holds
+    # completed and diverged calls, and on the fallback Python floats go in
+    # and some calls rerun on the vector
+    assert [name for name, raised, _, _ in records if isinstance(raised, ArithmeticError)] == []
+    first = {want[0][0] for _, _, want, _ in records}
     assert {np.asarray(_k.OK).tobytes(), np.asarray(_k.DIVERGED).tobytes()} <= first
     # sin and cos of a non-finite argument are nan, so no call fails in math
     assert "ValueError" not in first
-    assert _k.NUMBA_ENABLED or (list in handed and reruns)
+    assert _k.NUMBA_ENABLED or (list in handed and "start overflow" in reruns)
 
 
 @pytest.mark.parametrize("method, fail_t", [("rk4", 3.58), ("rkf45", 3.5604)])
@@ -222,19 +247,30 @@ def test_power_overflow_raises_diverged_trajectory(estimator):
 
 
 def test_fallback_kernel_receives_a_list(monkeypatch):
-    # a trajectory kernel takes P first, rhs_array (energy_trace) takes it last
     handed = []
-    trajectory, samples = _k.rk4_trajectory, _k.rhs_array
 
-    def spy_trajectory(P, *args):
-        handed.append(type(P))
-        return trajectory(P, *args)
+    def spy(kernel):
+        def call(P, *args):
+            handed.append(type(P))
+            return kernel(P, *args)
 
-    def spy_samples(t, x, v, P):
-        handed.append(type(P))
-        return samples(t, x, v, P)
+        return call
 
-    monkeypatch.setattr(_k, "rk4_trajectory", spy_trajectory)
-    monkeypatch.setattr(_k, "rhs_array", spy_samples)
+    for name in ("rk4_trajectory", "rhs_array"):
+        monkeypatch.setattr(_k, name, spy(getattr(_k, name)))
     energy_trace(integrate(OVERFLOW, OVERFLOW_START, IntegratorConfig(dt=1e-2, t_end=2.0)))
     assert handed == [np.ndarray if _k.NUMBA_ENABLED else list] * 2
+
+
+def test_every_kernel_takes_the_packed_spec_first():
+    # one argument order: run_kernel calls kernel(P, *args), and the kernels
+    # call one another the same way
+    first = {}
+    for name, fn in vars(_k).items():
+        fn = getattr(fn, "py_func", fn)  # a compiled kernel keeps its Python source there
+        if inspect.isfunction(fn) and fn.__module__ == _k.__name__:
+            params = list(inspect.signature(fn).parameters)
+            if "P" in params:
+                first[name] = params[0]
+    assert {"g_value", "rhs", "rhs_array", "rk4_step", "rk4_trajectory", "variational"} <= set(first)
+    assert {name: param for name, param in first.items() if param != "P"} == {}

@@ -177,6 +177,20 @@ def test_stroboscopic_phase_offsets_the_comb():
     assert np.array_equal(ev.t, 0.25 + np.arange(5.0))
 
 
+@pytest.mark.parametrize("phase", [1e300, -1e300, 1e17])
+def test_a_huge_stroboscopic_phase_runs_as_its_residue(phase):
+    # phase + k*period once lost every bit of the period at such a phase:
+    # the event times stalled and overran their buffer
+    period = 2 * math.pi / FORCED.params.omega
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=5.0)
+    start = State(0.0, 1.0, 0.0)
+    _, huge = integrate_with_events(FORCED, start, cfg, Stroboscopic(period, phase))
+    _, residue = integrate_with_events(FORCED, start, cfg, Stroboscopic(period, math.fmod(phase, period)))
+    assert len(huge) == len(residue) > 0
+    for got, want in zip((huge.t, huge.x, huge.v), (residue.t, residue.x, residue.v)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_velocity_zero_crossings_on_undamped_oscillator():
     # from (1, 0) the velocity vanishes at integer multiples of pi
     cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=20.0)

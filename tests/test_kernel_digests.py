@@ -119,7 +119,7 @@ def _variational(P, t0, x0, v0, blowup):
 
 def _rhs_array(P, t0, x0, v0, blowup):
     i = np.arange(400.0)
-    return (_k.rhs_array(t0 + 0.05 * i, x0 + np.sin(0.3 * i), v0 + np.cos(0.7 * i), P),)
+    return (_k.rhs_array(P, t0 + 0.05 * i, x0 + np.sin(0.3 * i), v0 + np.cos(0.7 * i)),)
 
 
 KERNELS = {
@@ -137,7 +137,7 @@ def digest(kernel, system):
     """SHA-256 of every value ``kernel`` returns on ``system``, each as
     float64 bytes in return order."""
     spec, (t0, x0, v0), blowup = SYSTEMS[system]
-    parts = run_kernel(spec, lambda P: KERNELS[kernel](P, t0, x0, v0, blowup))
+    parts = run_kernel(spec, KERNELS[kernel], t0, x0, v0, blowup)
     sha = hashlib.sha256()
     for part in parts:
         sha.update(np.asarray(part, dtype=np.float64).tobytes())
