@@ -44,6 +44,7 @@ from .integrate import (
     IntegratorConfig,
     Stroboscopic,
     VelocityZeroCrossing,
+    check_times,
     integrate,
 )
 from .model import (
@@ -401,6 +402,10 @@ def manifest_from_args(args) -> tuple[dict, str, str | None]:
             raise ValidationError(["stroboscopic sections need omega > 0 to default the period"])
         opts["period"] = 2.0 * math.pi / omega
     manifest["options"] = opts
+    if command.integrator:
+        # the run refuses these times too; here the refusal names the flags
+        cfg = IntegratorConfig(**manifest["integrator"])
+        check_times(t0, cfg.t_end, cfg.dt, ("--t0", "--t-end", "--dt"))
     return manifest, args.out, args.plot_out
 
 

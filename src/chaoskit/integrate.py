@@ -89,6 +89,7 @@ class Stroboscopic:
             raise ValidationError(msgs)
 
     def event_run(self, t0, t_end, n):
+        check_times(t0, t_end, self.period, ("t0", "t_end", "stroboscopic period"))
         # the residue names the same times; a huge phase would swamp the
         # period in phase + k*period and stall the event times.  fmod keeps
         # the sign, so every |phase| < period runs unchanged
@@ -159,12 +160,29 @@ def grid_steps(t0: float, t_end: float, dt: float) -> tuple[int, float]:
     return n, span / n
 
 
+def check_times(t0: float, t_end: float, step: float, names=("t0", "t_end", "dt")):
+    """Refuse times too large to hold a step (dt, or a stroboscopic period):
+    where floats lie a step or more apart, the times t0 + i*step stall or
+    jump, and the event times outrun their buffer.  ``names`` are how the
+    caller spells t0, t_end and the step."""
+    spacing = math.ulp(max(abs(t0), abs(t_end)))
+    if spacing >= step:
+        t0_name, t_end_name, step_name = names
+        raise ValidationError(
+            [
+                f"{t0_name} = {t0} and {t_end_name} = {t_end} are too large for "
+                f"{step_name} = {step}: floats there lie {spacing} apart"
+            ]
+        )
+
+
 def checked_run(spec: SystemSpec, initial: State, cfg: IntegratorConfig, grid_user=None):
     """Check a run and return (n, h), its snapped grid.
 
-    The spec must validate, the start time must not be singular and dt must
-    fit inside the span.  ``grid_user`` names a caller that needs the fixed
-    rk4 grid; for it the method must be rk4.
+    The spec must validate, the start time must not be singular, dt must
+    fit inside the span and the times must be fine enough to hold a step of
+    dt.  ``grid_user`` names a caller that needs the fixed rk4 grid; for it
+    the method must be rk4.
     """
     if grid_user is not None and cfg.method != "rk4":
         raise ValidationError([f"{grid_user} runs on the fixed rk4 grid; method must be rk4"])
@@ -174,6 +192,7 @@ def checked_run(spec: SystemSpec, initial: State, cfg: IntegratorConfig, grid_us
         raise ValidationError(
             [f"dt = {cfg.dt} must be smaller than the span t_end - t0 = {cfg.t_end - initial.t}"]
         )
+    check_times(initial.t, cfg.t_end, cfg.dt)
     return grid_steps(initial.t, cfg.t_end, cfg.dt)
 
 

@@ -240,8 +240,9 @@ class EpsilonSchedule(_Preset):
 
 @dataclass(frozen=True)
 class State:
-    """Instantaneous state (t, x, v).  Fields must be finite; a diverging
-    trajectory is reported through its status, never stored as a state."""
+    """Instantaneous state (t, x, v), held as floats.  Fields must be finite;
+    a diverging trajectory is reported through its status, never stored as a
+    state."""
 
     t: float
     x: float
@@ -249,8 +250,10 @@ class State:
 
     def __post_init__(self):
         for name in ("t", "x", "v"):
-            if not math.isfinite(getattr(self, name)):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
                 raise ValueError(f"state field {name} must be finite")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -388,12 +391,14 @@ def _check_time(spec: SystemSpec, t: float):
 
 
 def _at_state(spec: SystemSpec, s: State, what: str, kernel, *args) -> float:
-    """kernel(P, t, x, v, *args) at the state s, as a finite float.  On
-    float64 scalars an overflow is inf as on the vector, and 1/t^q of a
-    negative t is nan, never complex (validate refuses q, p < 0)."""
+    """kernel(P, t, x, v, *args) at the state s, as a finite float; of a
+    pair, such as rhs_tangent's (a, da), the second value.  On float64
+    scalars an overflow is inf as on the vector, and 1/t^q of a negative t
+    is nan, never complex (validate refuses q, p < 0)."""
     _check_time(spec, s.t)
     t, x, v = np.float64(s.t), np.float64(s.x), np.float64(s.v)
-    value = float(run_kernel(spec, kernel, t, x, v, *args))
+    value = run_kernel(spec, kernel, t, x, v, *args)
+    value = float(value[1] if isinstance(value, tuple) else value)
     if not math.isfinite(value):
         raise NonFinite(f"{what} is not finite at t = {s.t:.6g}")
     return value

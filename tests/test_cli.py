@@ -312,6 +312,21 @@ def test_non_finite_input_exits_one(tmp_path, capsys, args, key):
     assert not out.exists()
 
 
+def test_times_too_large_for_dt_exit_one(tmp_path, capsys):
+    # floats near 1e17 lie 16 apart; this run once ended in an IndexError
+    # from the stroboscopic event buffer
+    out = tmp_path / "p.csv"
+    code = run(["poincare", "--section", "strobo", "--period", "3.141592653589793", "--form", "B",
+                "--alpha", "0.5", "--beta", "1", "--gamma", "0.3", "--delta", "0.5", "--omega",
+                "2", "--t0", "1e17", "--t-end", "100000000000001600", "--dt", "1",
+                "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(flag in err[0] for flag in ("--t0", "--t-end", "--dt"))
+    assert not out.exists()
+
+
 def test_energy_csv(tmp_path):
     out = tmp_path / "energy.csv"
     code = run(["energy", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "10",

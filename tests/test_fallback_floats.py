@@ -229,6 +229,19 @@ def test_python_floats_keep_the_vector_bits(monkeypatch):
     assert _k.NUMBA_ENABLED or (list in handed and "start overflow" in reruns)
 
 
+def test_a_state_of_ints_runs_as_floats():
+    # State once kept Python ints, and x**100 of the int 10000 raised
+    # OverflowError in the float64 rerun instead of reporting diverged
+    ints = State(0, 10000, 0)
+    assert [type(value) for value in (ints.t, ints.x, ints.v)] == [float] * 3
+    got = integrate(START_OVERFLOW, ints, START_OVERFLOW_RUN)
+    want = integrate(START_OVERFLOW, START_OVERFLOW_AT, START_OVERFLOW_RUN)
+    assert (got.status, got.status_time) == (want.status, want.status_time)
+    assert (want.status, want.status_time) == (DIVERGED, pytest.approx(0.01))
+    for a, b in ((got.t, want.t), (got.x, want.x), (got.v, want.v)):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("method, fail_t", [("rk4", 3.58), ("rkf45", 3.5604)])
 def test_power_overflow_reports_diverged(method, fail_t):
     cfg = IntegratorConfig(method=method, dt=1e-2, t_end=50.0, blowup_threshold=1e150)

@@ -191,6 +191,28 @@ def test_a_huge_stroboscopic_phase_runs_as_its_residue(phase):
         assert got.tobytes() == want.tobytes()
 
 
+def test_times_too_large_for_the_step_are_refused():
+    # floats near 1e17 lie 16 apart, so the grid t0 + i*dt stalled and the
+    # stroboscopic events overran their buffer (IndexError on the fallback)
+    cfg = IntegratorConfig(method="rk4", dt=1.0, t_end=1e17 + 1600)
+    start = State(1e17, 1.0, 0.0)
+    with pytest.raises(ValidationError, match="too large for dt"):
+        integrate_with_events(FORCED, start, cfg, Stroboscopic(period=math.pi))
+    with pytest.raises(ValidationError, match="too large for dt"):
+        integrate(FORCED, start, cfg)
+
+
+def test_a_period_below_the_spacing_of_the_times_is_refused():
+    # near 1e16 floats lie 2 apart: dt = 2.5 steps, but a period of 0.1 did
+    # not, and its event times overran their buffer
+    cfg = IntegratorConfig(method="rk4", dt=2.5, t_end=1e16 + 200)
+    start = State(1e16, 1.0, 0.0)
+    with pytest.raises(ValidationError, match="stroboscopic period"):
+        integrate_with_events(FORCED, start, cfg, Stroboscopic(period=0.1))
+    _, ev = integrate_with_events(FORCED, start, cfg, Stroboscopic(period=2.5))
+    assert len(ev) == 81
+
+
 def test_velocity_zero_crossings_on_undamped_oscillator():
     # from (1, 0) the velocity vanishes at integer multiples of pi
     cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=20.0)

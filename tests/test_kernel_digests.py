@@ -3,7 +3,9 @@
 Each kernel runs on fixed inputs for three systems: A1 with a sine g, A2
 with a cubic g and power-law regularization from t0 = 1, and form B with
 n = 3, plus a form-B run whose low blowup threshold stops every kernel
-early.  The SHA-256 of everything a kernel returns is pinned, so a rewrite
+early, and form B with n = 1 (constant regularization), n = 2 (power-law
+regularization from t0 = 1) and n = 5 (from a negative x), which pin the
+exponent of the polynomial forcing.  The SHA-256 of everything a kernel returns is pinned, so a rewrite
 of the step that changes one bit of one value fails here.  Only the used
 rows of the output buffers are hashed: they come from ``np.empty``, and the
 rows past the returned counts hold whatever memory was there.
@@ -74,6 +76,32 @@ SYSTEMS = {
         ),
         (0.0, 1.0, 0.5),
         3.0,
+    ),
+    "B-n1": (
+        SystemSpec(
+            form=FORM_B,
+            params=Params(alpha=0.2, beta=1.0, gamma=0.4, delta=0.9, omega=2.0, n=1),
+            epsilon=EpsilonSchedule.constant(0.1),
+        ),
+        (0.0, 0.8, -0.3),
+        1e8,
+    ),
+    "B-n2": (
+        SystemSpec(
+            form=FORM_B,
+            params=Params(alpha=0.15, beta=0.8, gamma=0.6, delta=0.7, omega=1.1, n=2),
+            epsilon=EpsilonSchedule.power_law(0.3, 1.5),
+        ),
+        (1.0, 0.6, 0.2),
+        1e8,
+    ),
+    "B-n5": (
+        SystemSpec(
+            form=FORM_B,
+            params=Params(alpha=0.3, beta=1.2, gamma=0.5, delta=1.0, omega=1.7, n=5),
+        ),
+        (0.0, -0.9, 0.4),
+        1e8,
     ),
 }
 
@@ -173,6 +201,27 @@ DIGESTS = {
     ('benettin', 'B-escape'): '0efcdf0e780d85ea17e7f89ca2b3e4d0dbae36f5f54d525f1e36e0e2c04348f6',
     ('variational', 'B-escape'): '3e310c867f77f5c352b3c6e99c53fc097717e7f45fcc068afd53f399d587b81c',
     ('rhs_array', 'B-escape'): '51dc249ddfb76e09e1de80f38b5451919f85c987d427383de5e35bea7a1dbee8',
+    ('rk4_trajectory', 'B-n1'): 'a9515971359f8976e6b3c4aa95780e674bda3419685e0676a7a2899d5c7b2046',
+    ('rkf45_trajectory', 'B-n1'): 'e97eb5b2c89d5c110243ff8e583a75f4f68a729541380bc423283bd45c3a1571',
+    ('rk4_events_strobo', 'B-n1'): '4dee3e76d0a51c40783278cfbf8914aa872bbde49b657c7fb09562e08c5c8e27',
+    ('rk4_events_vzero', 'B-n1'): '07a290616d42545c5bbcdc48b9d0fb2f53534290eefc52004500c5284874aa11',
+    ('benettin', 'B-n1'): '9f78cb334a86c3ba7a43827f1d79c7c2965999b801f0391aa6b221fad5615354',
+    ('variational', 'B-n1'): '10610ddf7edd128f4576d3421f7a57961b195b13fa40fdfcbba3cb50f701cc73',
+    ('rhs_array', 'B-n1'): '19a3c74d9609a5e7490bab2db3804fe4513cbc8ed2579ab0ec9429b08d22a590',
+    ('rk4_trajectory', 'B-n2'): 'e515349d35425847981a6025217185c08e8b57324884fe742d70f61a2193c910',
+    ('rkf45_trajectory', 'B-n2'): '059973d2e4dcb82438d56e32ed1966cc1ec08eb30665e3ec1f3d1fcbb4593dee',
+    ('rk4_events_strobo', 'B-n2'): '4ac7c18ab587e61ed0c0864e44ba646e8fc764be960f8e99c43c967436b6ea1a',
+    ('rk4_events_vzero', 'B-n2'): '34bd4f94fe7b0efcf3f14a9e6fff9a6c8eb33f525bdf41e08d678be5ef63b58d',
+    ('benettin', 'B-n2'): '9534ab5d5860222f40db6c05f0a3be649c10f191133fa17129abe417028d0839',
+    ('variational', 'B-n2'): '63702c622398ffc01718c2f0553da7a5ab7b8bc32d77403566b64984e51a05a8',
+    ('rhs_array', 'B-n2'): 'b0cf0708b37201db933129731087cb1bff5636812a810f34fa6d238c3e9f77ef',
+    ('rk4_trajectory', 'B-n5'): '1eddf415265f25162b0ad8bc54bd1443becab55408ed04c8c4c318de63e6180a',
+    ('rkf45_trajectory', 'B-n5'): 'b8e363bc2b85a5b85bade183676e26f2602c5a8c91e92d74162383fd151eb6ff',
+    ('rk4_events_strobo', 'B-n5'): '442e0d79b594559504ed3b1a09749a52fa24535074a30761cac2fcf5ecf5ec51',
+    ('rk4_events_vzero', 'B-n5'): '1b26a77e7185cf1ef0e88cb7ce77d4fdd3997922597d431cc0faeb3c7c6c1c55',
+    ('benettin', 'B-n5'): '242940a8f45dcf46a5c31c4ffe32d50278f74e4929785a06a45a3964d064aeea',
+    ('variational', 'B-n5'): '424d7fff02b87b7d30909461920145d5db99f96ff15bd1610acc5b7317253c00',
+    ('rhs_array', 'B-n5'): '9410971d78bdbd3ce839a3438519681ee20b2bcd65117de32d4864884def418f',
 }
 
 

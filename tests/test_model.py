@@ -30,7 +30,8 @@ from chaoskit import (
     validate,
     with_param,
 )
-from chaoskit.model import PARAM_NAMES, pack_spec
+from chaoskit import _kernels as _k
+from chaoskit.model import PARAM_NAMES, pack_spec, run_kernel
 from chaoskit._kernels import ALPHA, BETA, EPS_C, EPS_KIND, FORM, G_KIND, NPACKED
 
 
@@ -114,6 +115,61 @@ def test_tangent_matches_finite_differences(spec, point):
     # directional derivative is linear in ds
     both = tangent_accel(spec, s, (0.5, -2.0))
     assert both == pytest.approx(0.5 * dax - 2.0 * dav, rel=1e-12, abs=1e-12)
+
+
+_A_PARAMS = Params(alpha=0.3, beta=0.7, gamma=0.4, delta=0.5, omega=1.9, q=1.0)
+# rhs_tangent forms the acceleration too, from its own copy of the formula
+PAIR_SYSTEMS = {
+    "A1-zero": SystemSpec(form=FORM_A1, params=_A_PARAMS, epsilon=EpsilonSchedule.constant(0.2)),
+    "A1-linear": SystemSpec(
+        form=FORM_A1, params=_A_PARAMS, nonlinearity=Nonlinearity.linear(0.8),
+        epsilon=EpsilonSchedule.constant(0.2),
+    ),
+    "A1-sine": SystemSpec(
+        form=FORM_A1, params=_A_PARAMS, nonlinearity=Nonlinearity.sine(1.2, 0.7),
+        epsilon=EpsilonSchedule.constant(0.2),
+    ),
+    "A2-cubic": SystemSpec(
+        form=FORM_A2, params=replace(_A_PARAMS, q=0.5), nonlinearity=Nonlinearity.cubic(-1.5),
+        epsilon=EpsilonSchedule.power_law(0.4, 2.5),
+    ),
+} | {
+    f"B-n{n}-{eps.variant}": SystemSpec(
+        form=FORM_B,
+        params=Params(alpha=0.2, beta=1.1, gamma=0.6, delta=0.9, omega=1.3, n=n),
+        epsilon=eps,
+    )
+    for n in (1, 2, 3, 5)
+    for eps in (EpsilonSchedule.constant(0.3), EpsilonSchedule.power_law(0.5, 1.5))
+}
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("name", PAIR_SYSTEMS)
+def test_rhs_tangent_gives_the_acceleration_of_rhs(name):
+    spec = PAIR_SYSTEMS[name]
+    rng = np.random.default_rng(14)
+    states = [
+        (
+            float(rng.uniform(0.1, 5.0)),
+            float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)),
+            float(rng.uniform(-3.0, 3.0)),
+        )
+        for _ in range(64)
+    ]
+    # x**n overflows a Python float for n >= 2, so both calls rerun on
+    # float64; omega*x overflows on the A forms, where sin and cos give nan
+    states += [(1.0, 1e200, 0.5), (1.0, -1e308, 0.5)]
+    for t, x, v in states:
+        dx, dv = float(rng.normal()), float(rng.normal())
+        a = run_kernel(spec, _k.rhs, t, x, v)
+        pair = run_kernel(spec, _k.rhs_tangent, t, x, v, dx, dv)
+        assert _same_bits(pair[0], a), (t, x, v)
+    if spec.form == FORM_B and spec.params.n >= 2:
+        assert math.isinf(run_kernel(spec, _k.rhs, 1.0, 1e200, 0.5))
 
 
 def test_accel_array_matches_scalar():
