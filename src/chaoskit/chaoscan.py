@@ -2,14 +2,17 @@
 and bisection onto the stability boundary.
 
 Every grid scan runs its cells one way: ``_scan`` sets each grid point's
-axis values on the system and ``_run_indexed`` runs the cells on a thread
-pool of ``CHAOS_THREADS`` or CPU-count width, then returns the results by
-cell index, so output is independent of pool width and evaluation order.
-Compiled kernels drop the GIL, so cells run side by side; the pure-Python
-fallback holds it, so the pool runs one cell at a time.  Critical bisection
-probes one system at a time, off the pool.  Exponents within
-``NOISE_FLOOR`` of zero are reported as indeterminate rather than forced to
-a side.
+axis values on the system, refuses an axis that enters the dynamics at no
+grid point, and ``_run_indexed`` runs the cells on a thread pool of
+``CHAOS_THREADS`` or CPU-count width, then returns the results by cell
+index, so output is independent of pool width and evaluation order.
+Compiled kernels drop the GIL, so cells run side by side.  The pure-Python
+fallback holds it, so a scan there also forks one kernel worker process per
+thread, up to the usable CPUs, and each thread's kernel calls run in an
+idle worker while the thread waits on its pipe without the GIL (see
+``_kernels._in_worker``).  Critical bisection probes one system at a time,
+off the pool, in process.  Exponents within ``NOISE_FLOOR`` of zero are
+reported as indeterminate rather than forced to a side.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as _k
 from .analysis import bisect_sign, lyapunov_two_trajectory, lyapunov_variational
 from .errors import (
     DegenerateSeparation,
@@ -33,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .integrate import COMPLETED, IntegratorConfig, Stroboscopic, integrate_with_events
-from .model import FORM_B, Axis, State, SystemSpec, with_param
+from .model import FORM_B, Axis, State, SystemSpec, refuse_inert, with_param
 
 NOISE_FLOOR = 0.01
 CLUSTER_RADIUS = 1e-2
@@ -50,14 +56,65 @@ _ESTIMATORS = {
 
 
 def max_workers() -> int:
-    """Thread-pool width: CHAOS_THREADS if set, else the CPU count."""
+    """Scan pool width: CHAOS_THREADS if set, else the CPU count.  A value
+    that is not a whole number >= 1 is refused."""
     raw = os.environ.get("CHAOS_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValidationError([f"CHAOS_THREADS must be a whole number >= 1, got {raw!r}"])
+    return int(raw)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def kernel_processes(width: int) -> int:
+    """How many kernel worker processes a scan on ``width`` threads forks:
+    one per thread up to the usable CPUs, and none where that is fewer than
+    two, under numba (whose kernels drop the GIL) or without os.fork."""
+    count = min(width, _usable_cpus())
+    if count < 2 or _k.NUMBA_ENABLED or not hasattr(os, "fork"):
+        return 0
+    return count
+
+
+@contextmanager
+def _kernel_workers(count):
+    """Fork ``count`` kernel worker processes, each connected by a pipe, and
+    yield a queue of their pipe ends (None for no workers); on exit, close
+    the pipes, which ends the workers, and reap them."""
+    if not count:
+        yield None
+        return
+    import multiprocessing  # only a scan that forks pays for the import
+
+    fork = multiprocessing.get_context("fork")
+    idle = queue.SimpleQueue()
+    conns, procs = [], []
+    try:
+        for _ in range(count):
+            mine, theirs = fork.Pipe()
+            proc = fork.Process(target=_k.serve, args=(theirs, [*conns, mine]), daemon=True)
+            proc.start()
+            theirs.close()  # so that the worker's death reads as EOF here
+            conns.append(mine)
+            procs.append(proc)
+            idle.put(mine)
+        yield idle
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            proc.close()
 
 
 def _run_indexed(tasks, order=None):
@@ -66,8 +123,10 @@ def _run_indexed(tasks, order=None):
     index.  If several tasks raise, the lowest-index one's exception
     propagates."""
     order = range(len(tasks)) if order is None else order
-    with ThreadPoolExecutor(max_workers=min(max_workers(), len(tasks))) as pool:
-        futures = {i: pool.submit(tasks[i]) for i in order}
+    width = min(max_workers(), len(tasks))
+    with _kernel_workers(kernel_processes(width)) as idle:
+        with ThreadPoolExecutor(width, initializer=_k.use_workers, initargs=(idle,)) as pool:
+            futures = {i: pool.submit(tasks[i]) for i in order}
     return [futures[i].result() for i in range(len(tasks))]
 
 
@@ -75,13 +134,15 @@ def _scan(spec, axes, cell):
     """cell(system) -> (value, status) at every point of the product grid of
     the axes, in row-major order; each system is spec with every axis value
     set as a float."""
-    tasks = []
+    systems = []
     for point in itertools.product(*(axis.values() for axis in axes)):
         system = spec
         for axis, value in zip(axes, point):
             system = with_param(system, axis.name, float(value))
-        tasks.append(lambda system=system: cell(system))
-    return _run_indexed(tasks)
+        systems.append(system)
+    for axis in axes:
+        refuse_inert(axis.name, systems)
+    return _run_indexed([lambda system=system: cell(system) for system in systems])
 
 
 @dataclass(frozen=True)
@@ -324,6 +385,7 @@ def critical_bisect(
     if not tol > 0.0:
         raise ValidationError([f"tolerance must be > 0, got {tol}"])
 
+    refuse_inert(axis, [with_param(spec, axis, lo)])
     probes: list[tuple[float, float]] = []
 
     def probe(val):

@@ -17,6 +17,9 @@ class ValidationError(ChaoskitError, ValueError):
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
 
+    def __reduce__(self):
+        return type(self), (self.messages,)
+
 
 class SingularTime(ChaoskitError):
     """Evaluation was requested at a time where a 1/t^q term is singular."""
@@ -52,3 +55,6 @@ class DivergedTrajectory(ChaoskitError):
     def __init__(self, at_time):
         self.at_time = float(at_time)
         super().__init__(f"trajectory diverged at t = {self.at_time:.6g}")
+
+    def __reduce__(self):
+        return type(self), (self.at_time,)

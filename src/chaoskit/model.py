@@ -335,6 +335,55 @@ def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
     return replace(spec, params=replace(spec.params, **{name: _param_value(name, value)}))
 
 
+# The parameters that enter each form's right-hand side.  One listed with
+# factors enters only multiplied by each of them, so it is inert on a system
+# where one of them is 0; the factor "g" is the restoring force, 0 for the
+# Zero preset.  A parameter left out, such as q on form B, is always inert.
+_A_FORM = {"alpha": (), "delta": (), "omega": ("delta",), "q": ()}
+LIVE_PARAMS = {
+    FORM_A1: {**_A_FORM, "beta": ("g",), "gamma": ("g",)},  # both only inside g(x + coup*v)
+    FORM_A2: {**_A_FORM, "beta": (), "gamma": ()},
+    FORM_B: {
+        "alpha": (),
+        "beta": (),
+        "gamma": ("delta",),
+        "delta": ("gamma",),
+        "omega": ("gamma", "delta"),
+        "n": ("gamma", "delta"),
+    },
+}
+
+
+def _factor(spec: SystemSpec, name: str) -> float:
+    if name == "g":
+        return 0.0 if spec.nonlinearity.variant == "Zero" else spec.nonlinearity.k
+    return getattr(spec.params, name)
+
+
+def live_params(spec: SystemSpec) -> set:
+    """The parameters that enter the dynamics of spec (see LIVE_PARAMS)."""
+    return {
+        name
+        for name, factors in LIVE_PARAMS[spec.form].items()
+        if all(_factor(spec, f) != 0.0 for f in factors)
+    }
+
+
+def refuse_inert(name: str, systems) -> None:
+    """Refuse a scan axis that enters the dynamics of none of the scan's
+    systems (all of one form), since every cell would then be the same."""
+    if any(name in live_params(system) for system in systems):
+        return
+    form = systems[0].form
+    factors = LIVE_PARAMS[form].get(name)
+    if factors is None:
+        why = f"form {form} does not use it"
+    else:
+        zero = next(f for f in factors if all(_factor(s, f) == 0.0 for s in systems))
+        why = f"on form {form} it enters only multiplied by {' * '.join(factors)}, and {zero} = 0"
+    raise ValidationError([f"axis {name!r} is inert: {why}"])
+
+
 def pack_spec(spec: SystemSpec) -> np.ndarray:
     """Flatten a spec into the float64 vector the kernels consume.
 

@@ -477,6 +477,49 @@ def test_map_through_a_singular_start_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+INERT_AXES = {
+    "q on form B": (["map", *FORCED, "--t-end", "2", "--dt", "1e-2",
+                     "--axis1", "q", "--lo1", "0", "--hi1", "1", "--steps1", "2",
+                     "--axis2", "alpha", "--lo2", "0.1", "--hi2", "0.2", "--steps2", "2"],
+                    "axis 'q' is inert: form B does not use it"),
+    "n on form A1": (["map", "--form", "A1", "--alpha", "0.1", "--beta", "1", "--g", "Linear",
+                      "--t0", "1", "--t-end", "2", "--dt", "1e-2",
+                      "--axis1", "n", "--lo1", "1", "--hi1", "2", "--steps1", "2",
+                      "--axis2", "alpha", "--lo2", "0.1", "--hi2", "0.2", "--steps2", "2"],
+                     "axis 'n' is inert: form A1 does not use it"),
+    "gamma on B without forcing": (
+        ["bifurcation", *LINEAR, "--section", "vzero", "--t-end", "2", "--dt", "1e-2",
+         "--axis", "gamma", "--lo", "0", "--hi", "1", "--steps", "2"],
+        "axis 'gamma' is inert: on form B it enters only multiplied by delta, and delta = 0"),
+    "omega on B without forcing": (
+        ["critical", *LINEAR, "--t-end", "2", "--dt", "1e-2", "--axis", "omega", "--lo", "1",
+         "--hi", "2"],
+        "axis 'omega' is inert: on form B it enters only multiplied by gamma * delta, "
+        "and gamma = 0"),
+}
+
+
+@pytest.mark.parametrize("case", INERT_AXES)
+def test_a_scan_over_an_inert_axis_exits_one(tmp_path, capsys, case):
+    # the q case wrote two identical rows for q = 0 and q = 1
+    argv, message = INERT_AXES[case]
+    out = tmp_path / "scan.out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_axis_whose_factor_is_scanned_is_live(tmp_path):
+    # gamma multiplies delta, which is 0 on LINEAR but scanned on the other axis
+    out = tmp_path / "map.csv"
+    assert run(["map", *LINEAR, "--t-end", "1", "--dt", "1e-2",
+                "--axis1", "gamma", "--lo1", "0", "--hi1", "1", "--steps1", "2",
+                "--axis2", "delta", "--lo2", "0", "--hi2", "1", "--steps2", "2",
+                "--out", str(out)]) == 0
+    lam = [line.split(",")[2] for line in out.read_text().splitlines()[2:]]
+    assert lam[0] == lam[2] and lam[1] != lam[3]  # gamma is inert only where delta = 0
+
+
 def test_spec_json_conflicts_with_inline_flags(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"form": "B", "params": {"alpha": 0.5, "beta": 1.0}}))

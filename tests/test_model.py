@@ -31,7 +31,7 @@ from chaoskit import (
     with_param,
 )
 from chaoskit import _kernels as _k
-from chaoskit.model import PARAM_NAMES, pack_spec, run_kernel
+from chaoskit.model import PARAM_NAMES, live_params, pack_spec, run_kernel
 from chaoskit._kernels import ALPHA, BETA, EPS_C, EPS_KIND, FORM, G_KIND, NPACKED
 
 
@@ -170,6 +170,50 @@ def test_rhs_tangent_gives_the_acceleration_of_rhs(name):
         assert _same_bits(pair[0], a), (t, x, v)
     if spec.form == FORM_B and spec.params.n >= 2:
         assert math.isinf(run_kernel(spec, _k.rhs, 1.0, 1e200, 0.5))
+
+
+# Systems on which the table of live parameters calls some parameter inert,
+# with the parameters it calls inert there
+INERT_CASES = {
+    "B": (B_SPEC, {"q"}),
+    "B-delta0": (replace(B_SPEC, params=replace(B_SPEC.params, delta=0.0)),
+                 {"q", "gamma", "omega", "n"}),
+    "B-gamma0": (replace(B_SPEC, params=replace(B_SPEC.params, gamma=0.0)),
+                 {"q", "delta", "omega", "n"}),
+    "A1-sine": (PAIR_SYSTEMS["A1-sine"], {"n"}),
+    "A1-zero-g-delta0": (replace(PAIR_SYSTEMS["A1-zero"], params=replace(_A_PARAMS, delta=0.0)),
+                         {"n", "omega", "beta", "gamma"}),
+    "A2-delta0": (replace(A2_SPEC, params=replace(A2_SPEC.params, delta=0.0)), {"n", "omega"}),
+    "A2-zero-g": (replace(A2_SPEC, nonlinearity=Nonlinearity.zero()), {"n"}),
+}
+
+
+@pytest.mark.parametrize("name", INERT_CASES)
+def test_an_inert_parameter_leaves_the_right_hand_side_alone(name):
+    spec, inert = INERT_CASES[name]
+    assert set(PARAM_NAMES) - live_params(spec) == inert
+    rng = np.random.default_rng(15)
+    # x**n stays finite on these states: where it overflows, 0 * inf is nan,
+    # so a zero gamma*delta does not hide n from the float arithmetic there
+    states = [
+        (
+            float(rng.uniform(0.1, 5.0)),
+            float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)),
+            float(rng.uniform(-3.0, 3.0)),
+        )
+        for _ in range(32)
+    ]
+    for param in sorted(inert):
+        for _ in range(3):
+            value = int(rng.integers(1, 8)) if param == "n" else float(rng.uniform(0.1, 3.0))
+            other = with_param(spec, param, value)
+            for t, x, v in states:
+                dx, dv = float(rng.normal()), float(rng.normal())
+                for kernel, args in ((_k.rhs, (t, x, v)), (_k.rhs_tangent, (t, x, v, dx, dv))):
+                    want = np.array(run_kernel(spec, kernel, *args)).tobytes()
+                    assert np.array(run_kernel(other, kernel, *args)).tobytes() == want, (
+                        param, value, kernel.__name__, t, x, v,
+                    )
 
 
 def test_accel_array_matches_scalar():
