@@ -14,21 +14,8 @@ division by zero) reruns on the float64 vector with every float argument
 as a float64 scalar, as compiled code would run it.
 
 Under the fallback the six run kernels (the trajectory, event and exponent
-loops) are wrapped by ``_in_worker``, so that a scan can compute cells on
-several cores although the interpreter holds the GIL.  A scan forks kernel
-worker processes before its thread pool starts (``chaoscan._run_indexed``)
-and sets, through the pool's initializer, a thread-local that the wrapper
-reads: a call made on such a thread is sent down a pipe to an idle worker,
-which runs the plain kernel and sends back the result and the ndarray
-arguments (the run's output buffers), and the calling thread waits on the
-pipe without the GIL.  Calls from any other thread run in place.  An
-exception the kernel raises in the worker is raised again in the caller, so
-``run_kernel``'s float64 rerun still happens, itself in a worker.  The
-dispatch sits on the module attributes rather than in ``run_kernel``
-because those attributes are what a caller looks up and what
-``bench/tracer.py`` wraps (``run_kernel`` only ever receives the wrapper):
-placed under them, every traced call, its time and its counts stay on the
-scan's own threads in the parent process.
+loops) run in a scan's kernel worker processes when a scan thread calls
+them (see ``_workers``).
 
 Under the fallback a step costs interpreter work, not arithmetic, so the
 kernels spend as little of it as they can without changing one
@@ -55,12 +42,11 @@ unmeasured.
 """
 
 import os
-import threading
 from math import ceil, cos, isfinite, log, nan, sin, sqrt
 
 import numpy as np
 
-from .errors import ChaoskitError
+from ._workers import in_worker
 
 
 def _env_flag(name):
@@ -84,82 +70,10 @@ def _jit(fn):
     return fn
 
 
-# The plain run kernels by name, as a kernel worker process runs them.
-_PLAIN = {}
-# Holds ``idle`` on each thread of a scan that forked kernel workers.
-_scan_thread = threading.local()
-
-
-def _in_worker(fn):
-    """fn, or under the fallback a function that calls fn in place except
-    on a thread of a scan that forked kernel workers (see ``use_workers``).
-    There it hands the call to an idle worker process and copies the
-    ndarray arguments that the worker sends back into the caller's own."""
-    if NUMBA_ENABLED:
-        return fn
-    name = fn.__name__
-    _PLAIN[name] = fn
-
-    def kernel(P, *args):
-        idle = getattr(_scan_thread, "idle", None)
-        if idle is None:
-            return fn(P, *args)
-        conn = idle.get()
-        try:
-            conn.send((name, P, args))
-            ok, result, arrays = conn.recv()
-        except (EOFError, OSError):
-            ok, result = False, ChaoskitError(f"a kernel worker process exited during {name}")
-        finally:
-            idle.put(conn)  # a dead worker's pipe fails its next call at once
-        if not ok:
-            raise result
-        for mine, theirs in zip(_arrays(args), arrays):
-            mine[...] = theirs
-        return result
-
-    kernel.__name__ = kernel.__qualname__ = name
-    kernel.__doc__ = fn.__doc__
-    return kernel
-
-
-def _arrays(args):
-    return [a for a in args if isinstance(a, np.ndarray)]
-
-
-def use_workers(idle):
-    """Run this thread's run-kernel calls in the kernel worker processes
-    whose pipe ends the queue ``idle`` hands out, one call at a time each;
-    the initializer of a scan's threads."""
-    _scan_thread.idle = idle
-
-
-def serve(conn, inherited):
-    """The loop of a kernel worker process: run each (name, P, args) that
-    arrives on ``conn`` and send back (True, result, the ndarray arguments)
-    or (False, the exception, None), until the scan closes its end.  The
-    worker first closes the ``inherited`` copies of the scan's pipe ends,
-    its own among them, so that the scan closing them reads as EOF here,
-    and it leaves Ctrl-C to the scan, which then closes the pipes."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited:
-        other.close()
-    np.seterr(all="ignore")
-    while True:
-        try:
-            name, P, args = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = True, _PLAIN[name](P, *args), _arrays(args)
-        except Exception as exc:
-            reply = False, exc, None
-        try:
-            conn.send(reply)
-        except OSError:  # the scan has gone
-            return
+def _run(fn):
+    """A run kernel: compiled under numba, else run in place or, on a scan
+    thread, in the thread's kernel worker process."""
+    return _jit(fn) if NUMBA_ENABLED else in_worker(fn)
 
 
 # Packed-spec layout.  FORM: 0 = A1, 1 = A2, 2 = B.  G_KIND: 0 = zero,
@@ -353,8 +267,7 @@ def _bad(x, v, blowup):
     )
 
 
-@_in_worker
-@_jit
+@_run
 def rk4_trajectory(P, t0, x0, v0, h, n_steps, sample_every, blowup, out_t, out_x, out_v):
     """Fixed-step RK4 run on the uniform grid t0 + i*h, i = 0..n_steps.
 
@@ -399,8 +312,7 @@ B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 /
 E = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
 
 
-@_in_worker
-@_jit
+@_run
 def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup, h_min):
     """Adaptive Fehlberg 4(5) run from t0 to t_end.
 
@@ -498,8 +410,7 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
     return OK, ts[:m], xs[:m], vs[:m], 0.0
 
 
-@_in_worker
-@_jit
+@_run
 def rk4_events_strobo(
     P,
     t0,
@@ -567,8 +478,7 @@ def rk4_events_strobo(
     return OK, m, ne, 0.0
 
 
-@_in_worker
-@_jit
+@_run
 def rk4_events_vzero(
     P,
     t0,
@@ -659,8 +569,7 @@ def rk4_events_vzero(
     return OK, m, ne, 0.0
 
 
-@_in_worker
-@_jit
+@_run
 def benettin(
     P,
     t0,
@@ -728,8 +637,7 @@ def benettin(
     return OK, lam, nconv, 0.0, t_acc
 
 
-@_in_worker
-@_jit
+@_run
 def variational(
     P,
     t0,

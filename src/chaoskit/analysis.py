@@ -169,7 +169,8 @@ def hopf_scan(
     parameter (hi > lo, steps >= 2), then bisects each bracketing pair down
     to ``resolution``, which must be > 0.
     Parameter constraints are not enforced on scanned values, so axes may
-    sweep through regions a strict validate would reject.
+    sweep through regions a strict validate would reject.  An axis on which
+    (alpha_eff, beta_eff) is the same at every value is refused as inert.
     """
     if not resolution > 0.0:
         raise ValidationError([f"resolution must be > 0, got {resolution}"])
@@ -179,7 +180,14 @@ def hopf_scan(
         return max(l1.real, l2.real)
 
     values = Axis(axis, lo, hi, steps).values()
-    f = [max_real(val) for val in values]
+    parts = [_linear_part(with_param(spec, axis, val), at_time) for val in values]
+    if len({(a_eff, b_eff) for a_eff, b_eff, _, _ in parts}) == 1:
+        a_eff, b_eff, _, _ = parts[0]
+        raise ValidationError([
+            f"axis {axis!r} is inert: alpha_eff = {a_eff:g} and beta_eff = {b_eff:g} "
+            f"at every value in [{lo:g}, {hi:g}] (at_time {at_time:g})"
+        ])
+    f = [max(l1.real, l2.real) for _, _, l1, l2 in parts]
     crossings = [float(values[i]) for i in range(steps) if f[i] == 0.0]
     for i in range(steps - 1):
         if f[i] * f[i + 1] < 0.0:

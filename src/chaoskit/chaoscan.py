@@ -3,16 +3,13 @@ and bisection onto the stability boundary.
 
 Every grid scan runs its cells one way: ``_scan`` sets each grid point's
 axis values on the system, refuses an axis that enters the dynamics at no
-grid point, and ``_run_indexed`` runs the cells on a thread pool of
-``CHAOS_THREADS`` or CPU-count width, then returns the results by cell
-index, so output is independent of pool width and evaluation order.
-Compiled kernels drop the GIL, so cells run side by side.  The pure-Python
-fallback holds it, so a scan there also forks one kernel worker process per
-thread, up to the usable CPUs, and each thread's kernel calls run in an
-idle worker while the thread waits on its pipe without the GIL (see
-``_kernels._in_worker``).  Critical bisection probes one system at a time,
-off the pool, in process.  Exponents within ``NOISE_FLOOR`` of zero are
-reported as indeterminate rather than forced to a side.
+grid point, and ``_run_indexed`` runs the cells on the thread pool of
+``_workers.scan_pool``, ``CHAOS_THREADS`` or CPU-count wide (one thread per
+kernel worker process where the pure-Python fallback forks them), then
+returns the results by cell index, so output is independent of pool width
+and evaluation order.  Critical bisection probes one system at a time, off the
+pool, in process.  Exponents within ``NOISE_FLOOR`` of zero are reported as
+indeterminate rather than forced to a side.
 """
 
 from __future__ import annotations
@@ -20,14 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as _k
+from ._workers import scan_pool
 from .analysis import bisect_sign, lyapunov_two_trajectory, lyapunov_variational
 from .errors import (
     DegenerateSeparation,
@@ -66,67 +60,14 @@ def max_workers() -> int:
     return int(raw)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def kernel_processes(width: int) -> int:
-    """How many kernel worker processes a scan on ``width`` threads forks:
-    one per thread up to the usable CPUs, and none where that is fewer than
-    two, under numba (whose kernels drop the GIL) or without os.fork."""
-    count = min(width, _usable_cpus())
-    if count < 2 or _k.NUMBA_ENABLED or not hasattr(os, "fork"):
-        return 0
-    return count
-
-
-@contextmanager
-def _kernel_workers(count):
-    """Fork ``count`` kernel worker processes, each connected by a pipe, and
-    yield a queue of their pipe ends (None for no workers); on exit, close
-    the pipes, which ends the workers, and reap them."""
-    if not count:
-        yield None
-        return
-    import multiprocessing  # only a scan that forks pays for the import
-
-    fork = multiprocessing.get_context("fork")
-    idle = queue.SimpleQueue()
-    conns, procs = [], []
-    try:
-        for _ in range(count):
-            mine, theirs = fork.Pipe()
-            proc = fork.Process(target=_k.serve, args=(theirs, [*conns, mine]), daemon=True)
-            proc.start()
-            theirs.close()  # so that the worker's death reads as EOF here
-            conns.append(mine)
-            procs.append(proc)
-            idle.put(mine)
-        yield idle
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-            proc.close()
-
-
 def _run_indexed(tasks, order=None):
-    """Run the callables on a thread pool, submitted in ``order`` (a
+    """Run the callables on a scan's pool, submitted in ``order`` (a
     permutation of the task indices), and return their results by task
     index.  If several tasks raise, the lowest-index one's exception
     propagates."""
     order = range(len(tasks)) if order is None else order
-    width = min(max_workers(), len(tasks))
-    with _kernel_workers(kernel_processes(width)) as idle:
-        with ThreadPoolExecutor(width, initializer=_k.use_workers, initargs=(idle,)) as pool:
-            futures = {i: pool.submit(tasks[i]) for i in order}
+    with scan_pool(min(max_workers(), len(tasks))) as pool:
+        futures = {i: pool.submit(tasks[i]) for i in order}
     return [futures[i].result() for i in range(len(tasks))]
 
 

@@ -335,28 +335,38 @@ def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
     return replace(spec, params=replace(spec.params, **{name: _param_value(name, value)}))
 
 
-# The parameters that enter each form's right-hand side.  One listed with
-# factors enters only multiplied by each of them, so it is inert on a system
-# where one of them is 0; the factor "g" is the restoring force, 0 for the
-# Zero preset.  A parameter left out, such as q on form B, is always inert.
-_A_FORM = {"alpha": (), "delta": (), "omega": ("delta",), "q": ()}
+# The parameters that enter each form's right-hand side, each with the sum of
+# products it enters multiplied by: it is inert on a system where every
+# product has a factor that is 0, and "1" is always live.  The factor "g" is
+# the restoring force, 0 everywhere for the Zero preset, for k = 0 and for a
+# Sine of w = 0.  A parameter left out, such as q on form B, is always inert.
+_A_FORM = {"alpha": "1", "delta": "1", "omega": "delta"}
 LIVE_PARAMS = {
-    FORM_A1: {**_A_FORM, "beta": ("g",), "gamma": ("g",)},  # both only inside g(x + coup*v)
-    FORM_A2: {**_A_FORM, "beta": (), "gamma": ()},
+    # beta and gamma enter A1 only inside g(x + coup*v), and q only through
+    # alpha/t^q and beta/t^q
+    FORM_A1: {**_A_FORM, "beta": "g", "gamma": "g", "q": "alpha + beta*g"},
+    FORM_A2: {**_A_FORM, "beta": "1", "gamma": "1", "q": "alpha + beta"},
     FORM_B: {
-        "alpha": (),
-        "beta": (),
-        "gamma": ("delta",),
-        "delta": ("gamma",),
-        "omega": ("gamma", "delta"),
-        "n": ("gamma", "delta"),
+        "alpha": "1",
+        "beta": "1",
+        "gamma": "delta",
+        "delta": "gamma",
+        "omega": "gamma*delta",
+        "n": "gamma*delta",
     },
 }
 
 
+def _products(form, name) -> list:
+    return [product.split("*") for product in LIVE_PARAMS[form][name].split(" + ")]
+
+
 def _factor(spec: SystemSpec, name: str) -> float:
+    if name == "1":
+        return 1.0
     if name == "g":
-        return 0.0 if spec.nonlinearity.variant == "Zero" else spec.nonlinearity.k
+        g = spec.nonlinearity
+        return 0.0 if g.variant == "Zero" or (g.variant == "Sine" and g.w == 0.0) else g.k
     return getattr(spec.params, name)
 
 
@@ -364,8 +374,8 @@ def live_params(spec: SystemSpec) -> set:
     """The parameters that enter the dynamics of spec (see LIVE_PARAMS)."""
     return {
         name
-        for name, factors in LIVE_PARAMS[spec.form].items()
-        if all(_factor(spec, f) != 0.0 for f in factors)
+        for name in LIVE_PARAMS[spec.form]
+        if any(all(_factor(spec, f) != 0.0 for f in p) for p in _products(spec.form, name))
     }
 
 
@@ -375,12 +385,16 @@ def refuse_inert(name: str, systems) -> None:
     if any(name in live_params(system) for system in systems):
         return
     form = systems[0].form
-    factors = LIVE_PARAMS[form].get(name)
-    if factors is None:
+    if name not in LIVE_PARAMS[form]:
         why = f"form {form} does not use it"
     else:
-        zero = next(f for f in factors if all(_factor(s, f) == 0.0 for s in systems))
-        why = f"on form {form} it enters only multiplied by {' * '.join(factors)}, and {zero} = 0"
+        products = _products(form, name)
+        zeros = [next(f for f in p if all(_factor(s, f) == 0.0 for s in systems)) for p in products]
+        why = (
+            f"on form {form} it enters only multiplied by "
+            f"{' or by '.join(' * '.join(p) for p in products)}, "
+            f"and {' and '.join(f'{zero} = 0' for zero in zeros)}"
+        )
     raise ValidationError([f"axis {name!r} is inert: {why}"])
 
 

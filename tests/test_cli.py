@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, exit codes, and manifest reruns."""
 
+import hashlib
 import json
 
 import pytest
@@ -496,6 +497,27 @@ INERT_AXES = {
          "--hi", "2"],
         "axis 'omega' is inert: on form B it enters only multiplied by gamma * delta, "
         "and gamma = 0"),
+    "q on A1 without damping or coupling": (
+        ["map", "--form", "A1", "--alpha", "0", "--beta", "0", "--gamma", "0.3", "--delta", "0.35",
+         "--omega", "2.5", "--g", "Linear", "--t0", "1", "--t-end", "3", "--dt", "1e-2",
+         "--axis1", "q", "--lo1", "0", "--hi1", "1", "--steps1", "2",
+         "--axis2", "gamma", "--lo2", "0.2", "--hi2", "0.4", "--steps2", "2"],
+        "axis 'q' is inert: on form A1 it enters only multiplied by alpha or by beta * g, "
+        "and alpha = 0 and beta = 0"),
+    "beta on A1 with a Sine of w = 0": (
+        ["map", "--form", "A1", "--alpha", "0.1", "--beta", "1", "--gamma", "0.3", "--delta", "0.35",
+         "--omega", "2.5", "--g", "Sine", "--g-k", "1", "--g-w", "0", "--t0", "1", "--t-end", "3",
+         "--dt", "1e-2", "--axis1", "beta", "--lo1", "0", "--hi1", "1", "--steps1", "2",
+         "--axis2", "alpha", "--lo2", "0.2", "--hi2", "0.4", "--steps2", "2"],
+        "axis 'beta' is inert: on form A1 it enters only multiplied by g, and g = 0"),
+    # hopf wrote no crossing for B and every grid value as a crossing for A1
+    "q on form B in hopf": (
+        ["hopf", *LINEAR, "--axis", "q", "--lo", "0", "--hi", "1"],
+        "axis 'q' is inert: alpha_eff = 0.5 and beta_eff = 1 at every value in [0, 1] (at_time 1)"),
+    "q on form A1 in hopf at t = 1, where t^q = 1": (
+        ["hopf", "--form", "A1", "--alpha", "0.5", "--beta", "1", "--g", "Linear",
+         "--axis", "q", "--lo", "0", "--hi", "1"],
+        "axis 'q' is inert: alpha_eff = 1.5 and beta_eff = 1 at every value in [0, 1] (at_time 1)"),
 }
 
 
@@ -507,6 +529,21 @@ def test_a_scan_over_an_inert_axis_exits_one(tmp_path, capsys, case):
     assert run(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_hopf_scan_over_a_live_axis_keeps_its_bytes(tmp_path):
+    # alpha_eff = (alpha + beta) / t^q + gamma, frozen at t = 2, vanishes at q = 1
+    out, plot = tmp_path / "hopf.json", tmp_path / "hopf.dat"
+    assert run(["hopf", "--form", "A2", "--alpha", "0.5", "--beta", "0.5", "--gamma", "-0.5",
+                "--g", "Linear", "--axis", "q", "--lo", "0", "--hi", "2", "--at-time", "2",
+                "--out", str(out), "--plot-out", str(plot)]) == 0
+    assert json.loads(out.read_text())["crossings"] == [1.0]
+    # the bytes hopf wrote for this run before it checked its axis
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, plot)]
+    assert digests == [
+        "5b287c44a290c789f8059ee976c602120053d2976a474fef6d07d3bb5dda3913",
+        "85aca0d19cb57ae1524f75be6281d0288d8b2fdee028d76191a4d1980e479e94",
+    ]
 
 
 def test_an_axis_whose_factor_is_scanned_is_live(tmp_path):

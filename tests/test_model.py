@@ -185,6 +185,16 @@ INERT_CASES = {
                          {"n", "omega", "beta", "gamma"}),
     "A2-delta0": (replace(A2_SPEC, params=replace(A2_SPEC.params, delta=0.0)), {"n", "omega"}),
     "A2-zero-g": (replace(A2_SPEC, nonlinearity=Nonlinearity.zero()), {"n"}),
+    # g(u) = k sin(0 * u) is 0 everywhere, so beta and gamma inside its argument are inert
+    "A1-sine-w0": (replace(PAIR_SYSTEMS["A1-sine"], nonlinearity=Nonlinearity.sine(1.2, 0.0)),
+                   {"n", "beta", "gamma"}),
+    # q enters only through alpha/t^q and beta/t^q, so either keeps it live
+    "A1-alpha0": (replace(PAIR_SYSTEMS["A1-linear"], params=replace(_A_PARAMS, alpha=0.0)), {"n"}),
+    "A1-alpha0-beta0": (replace(PAIR_SYSTEMS["A1-linear"],
+                                params=replace(_A_PARAMS, alpha=0.0, beta=0.0)), {"n", "q"}),
+    "A2-alpha0": (replace(A2_SPEC, params=replace(A2_SPEC.params, alpha=0.0)), {"n"}),
+    "A2-alpha0-beta0": (replace(A2_SPEC, params=replace(A2_SPEC.params, alpha=0.0, beta=0.0)),
+                        {"n", "q"}),
 }
 
 

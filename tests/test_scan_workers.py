@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from chaoskit import _kernels as _k
-from chaoskit import chaoscan
+from chaoskit import _workers, chaoscan
 from chaoskit.cli import main
 from chaoskit.errors import ChaoskitError, DivergedTrajectory, ValidationError
 
@@ -45,7 +45,7 @@ def forks(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(chaoscan, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     return count
 
 
@@ -91,21 +91,21 @@ def test_chaos_threads_sets_the_width(monkeypatch):
 def test_kernel_processes_are_capped_at_the_usable_cpus(monkeypatch):
     for cpus, widths in ((2, {1: 0, 2: 2, 3: 2, 64: 2}), (1, {1: 0, 2: 0, 8: 0}),
                          (8, {2: 2, 5: 5, 8: 8, 26: 8})):
-        monkeypatch.setattr(chaoscan, "_usable_cpus", lambda cpus=cpus: cpus)
-        assert {w: chaoscan.kernel_processes(w) for w in widths} == widths, cpus
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert {w: _workers.kernel_processes(w) for w in widths} == widths, cpus
     monkeypatch.setattr(_k, "NUMBA_ENABLED", True)
-    assert chaoscan.kernel_processes(8) == 0
+    assert _workers.kernel_processes(8) == 0
     monkeypatch.setattr(_k, "NUMBA_ENABLED", False)
     monkeypatch.delattr(os, "fork")
-    assert chaoscan.kernel_processes(8) == 0
+    assert _workers.kernel_processes(8) == 0
 
 
 def _bytes_at_widths(tmp_path, monkeypatch, forks, argv):
     """The artifact and plot bytes of argv at CHAOS_THREADS 1, 2 and 4,
-    which fork no worker, two, and two that four threads share."""
+    which fork no worker, two, and two (one per usable CPU)."""
     written = []
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # threads contend for the idle workers often
+    sys.setswitchinterval(1e-5)  # the scan threads switch often
     try:
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("CHAOS_THREADS", threads)
@@ -140,9 +140,27 @@ def test_worker_processes_fill_the_callers_buffers(tmp_path, monkeypatch, forks)
 
 
 @fallback_only
+def test_four_threads_on_two_cpus_are_two_threads_with_a_worker_each(monkeypatch, forks):
+    # the stand-in kernel reports the process it ran in
+    monkeypatch.setitem(_workers._PLAIN, "benettin", lambda P: os.getpid())
+    monkeypatch.setenv("CHAOS_THREADS", "4")
+    barrier = threading.Barrier(2, timeout=10)
+
+    def task():
+        barrier.wait()  # two tasks at a time hold two threads
+        return threading.get_ident(), _k.benettin(None)
+
+    seen = _within(60, lambda: chaoscan._run_indexed([task] * 8))
+    assert len(forks) == 2
+    assert len({ident for ident, _ in seen}) == 2
+    assert len(set(seen)) == 2 and os.getpid() not in {pid for _, pid in seen}
+    assert multiprocessing.active_children() == []
+
+
+@fallback_only
 def test_a_worker_that_exits_mid_call_is_one_error_line(tmp_path, monkeypatch, capsys, forks):
     # the workers are forked after the patch, so each one exits on its first call
-    monkeypatch.setitem(_k._PLAIN, "variational", lambda *args: os._exit(3))
+    monkeypatch.setitem(_workers._PLAIN, "variational", lambda *args: os._exit(3))
     monkeypatch.setenv("CHAOS_THREADS", "2")
     out = tmp_path / "map.csv"
     assert _within(60, lambda: main(SMALL_MAP + ["--out", str(out)])) == 2
@@ -157,7 +175,7 @@ def test_a_worker_raises_the_kernels_error_in_the_caller(monkeypatch, forks):
     def raising(P, *args):
         raise ZeroDivisionError(f"in the worker, {args}")
 
-    monkeypatch.setitem(_k._PLAIN, "benettin", raising)
+    monkeypatch.setitem(_workers._PLAIN, "benettin", raising)
     monkeypatch.setenv("CHAOS_THREADS", "2")
     tasks = [lambda i=i: (_k.benettin(None, i), "ok") for i in range(2)]
     with pytest.raises(ZeroDivisionError, match=r"in the worker, \(0,\)"):
@@ -180,11 +198,12 @@ def test_commands_without_a_scan_fork_nothing(tmp_path, monkeypatch, forks, comm
 
 @fallback_only
 def test_importing_the_cli_loads_no_multiprocessing():
-    code = "import sys, chaoskit.cli; print('multiprocessing' in sys.modules)"
+    code = ("import sys, chaoskit.cli; "
+            "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
     src = os.path.dirname(os.path.dirname(_k.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"
 
 
 def _errors(cls=ChaoskitError):
