@@ -188,7 +188,12 @@ def hopf_scan(
             f"at every value in [{lo:g}, {hi:g}] (at_time {at_time:g})"
         ])
     f = [max(l1.real, l2.real) for _, _, l1, l2 in parts]
-    crossings = [float(values[i]) for i in range(steps) if f[i] == 0.0]
+    # a sign change between consecutive nonzero grid values is bisected, or,
+    # across a run of exact zeros, is each of those zeros; a zero that the
+    # sign does not change across is no crossing
+    signed = [i for i in range(steps) if f[i] != 0.0]
+    crossings = [float(values[k]) for i, j in zip(signed, signed[1:]) if f[i] * f[j] < 0.0
+                 for k in range(i + 1, j)]
     for i in range(steps - 1):
         if f[i] * f[i + 1] < 0.0:
             a, _, b, _ = bisect_sign(

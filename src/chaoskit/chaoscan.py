@@ -3,12 +3,12 @@ and bisection onto the stability boundary.
 
 Every grid scan runs its cells one way: ``_scan`` sets each grid point's
 axis values on the system, refuses an axis that enters the dynamics at no
-grid point, and ``_run_indexed`` runs the cells on the thread pool of
-``_workers.scan_pool``, ``CHAOS_THREADS`` or CPU-count wide (one thread per
-kernel worker process where the pure-Python fallback forks them), then
-returns the results by cell index, so output is independent of pool width
-and evaluation order.  Critical bisection probes one system at a time, off the
-pool, in process.  Exponents within ``NOISE_FLOOR`` of zero are reported as
+grid point, and hands the cells to ``_run_indexed``, which runs them at once,
+``max_workers()`` wide, and returns the results by cell index, so output is
+independent of the scan's width and evaluation order.  Both come from
+``_workers``; ``_scan`` looks ``_run_indexed`` up here, so that a caller
+can replace it.  Critical bisection probes one system at a time, in
+process.  Exponents within ``NOISE_FLOOR`` of zero are reported as
 indeterminate rather than forced to a side.
 """
 
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import scan_pool
+from ._workers import _run_indexed, max_workers
 from .analysis import bisect_sign, lyapunov_two_trajectory, lyapunov_variational
 from .errors import (
     DegenerateSeparation,
@@ -47,28 +46,6 @@ _ESTIMATORS = {
     "two_trajectory": lyapunov_two_trajectory,
     "variational": lyapunov_variational,
 }
-
-
-def max_workers() -> int:
-    """Scan pool width: CHAOS_THREADS if set, else the CPU count.  A value
-    that is not a whole number >= 1 is refused."""
-    raw = os.environ.get("CHAOS_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValidationError([f"CHAOS_THREADS must be a whole number >= 1, got {raw!r}"])
-    return int(raw)
-
-
-def _run_indexed(tasks, order=None):
-    """Run the callables on a scan's pool, submitted in ``order`` (a
-    permutation of the task indices), and return their results by task
-    index.  If several tasks raise, the lowest-index one's exception
-    propagates."""
-    order = range(len(tasks)) if order is None else order
-    with scan_pool(min(max_workers(), len(tasks))) as pool:
-        futures = {i: pool.submit(tasks[i]) for i in order}
-    return [futures[i].result() for i in range(len(tasks))]
 
 
 def _scan(spec, axes, cell):

@@ -376,6 +376,20 @@ def test_hopf_crossing_json(tmp_path):
     assert abs(doc["crossings"][0]) <= 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    # beta_eff = 0, so the eigenvalues are 0 and -alpha_eff: the leading real
+    # part is positive for alpha < 0 and 0 for alpha >= 0
+    ["--form", "A1", "--alpha", "0.5", "--beta", "1", "--axis", "alpha", "--lo", "-1", "--hi", "1"],
+    # alpha_eff = 0: the leading real part is sqrt(-beta) > 0 for beta < 0, else 0
+    ["--form", "B", "--alpha", "0", "--beta", "0", "--axis", "beta", "--lo", "-1", "--hi", "1"],
+], ids=["A1-alpha", "B-beta"])
+def test_hopf_counts_no_crossing_at_a_zero_without_a_sign_change(tmp_path, argv):
+    # both wrote the 21 grid values where the leading real part is 0 as crossings
+    out = tmp_path / "hopf.json"
+    assert run(["hopf", *argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["crossings"] == []
+
+
 def test_poincare_default_period_from_omega(tmp_path):
     out = tmp_path / "sec.csv"
     code = run(["poincare", "--section", "strobo", "--form", "B", "--alpha", "0.1", "--beta", "1",

@@ -1,12 +1,12 @@
 """Scan cells in parallel on the fallback: the pool width, the kernel worker
 processes a scan forks, and what a scan does when a worker fails."""
 
-import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -36,17 +36,25 @@ SMALL_MAP = [
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Count the processes forked from here on, on a host of two usable CPUs."""
-    count = []
+    """The pids of the processes forked from here on, on a host of two usable CPUs."""
+    pids = []
     real_fork = os.fork
 
     def fork():
-        count.append(1)
-        return real_fork()
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
-    return count
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def _within(seconds, fn):
@@ -85,7 +93,14 @@ def test_chaos_threads_sets_the_width(monkeypatch):
     monkeypatch.setenv("CHAOS_THREADS", " 3 ")
     assert chaoscan.max_workers() == 3
     monkeypatch.setenv("CHAOS_THREADS", "")
-    assert chaoscan.max_workers() == (os.cpu_count() or 1)
+    assert chaoscan.max_workers() == _workers._usable_cpus()
+
+
+def test_the_default_width_is_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("CHAOS_THREADS", raising=False)
+    for cpus in (1, 3, 64):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert chaoscan.max_workers() == cpus
 
 
 def test_kernel_processes_are_capped_at_the_usable_cpus(monkeypatch):
@@ -113,10 +128,10 @@ def _bytes_at_widths(tmp_path, monkeypatch, forks, argv):
             out, plot = tmp_path / f"{threads}.out", tmp_path / f"{threads}.dat"
             assert _within(60, lambda: main(argv + ["--out", str(out), "--plot-out", str(plot)])) == 0
             assert len(forks) == {"1": 0, "2": 2, "4": 2}[threads]
+            _assert_reaped(forks)
             written.append((out.read_bytes(), plot.read_bytes()))
     finally:
         sys.setswitchinterval(interval)
-    assert multiprocessing.active_children() == []
     return written
 
 
@@ -154,7 +169,8 @@ def test_four_threads_on_two_cpus_are_two_threads_with_a_worker_each(monkeypatch
     assert len(forks) == 2
     assert len({ident for ident, _ in seen}) == 2
     assert len(set(seen)) == 2 and os.getpid() not in {pid for _, pid in seen}
-    assert multiprocessing.active_children() == []
+    assert {pid for _, pid in seen} == set(forks)
+    _assert_reaped(forks)
 
 
 @fallback_only
@@ -167,7 +183,7 @@ def test_a_worker_that_exits_mid_call_is_one_error_line(tmp_path, monkeypatch, c
     assert len(forks) == 2
     assert capsys.readouterr().err == "error: a kernel worker process exited during variational\n"
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    _assert_reaped(forks)
 
 
 @fallback_only
@@ -180,7 +196,19 @@ def test_a_worker_raises_the_kernels_error_in_the_caller(monkeypatch, forks):
     tasks = [lambda i=i: (_k.benettin(None, i), "ok") for i in range(2)]
     with pytest.raises(ZeroDivisionError, match=r"in the worker, \(0,\)"):
         _within(60, lambda: chaoscan._run_indexed(tasks))
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+@fallback_only
+def test_a_worker_that_never_exits_ends_with_its_scan(monkeypatch, forks):
+    # the workers are forked after the patch, so each one sleeps instead of serving
+    monkeypatch.setattr(_workers, "serve", lambda conn, inherited: time.sleep(600))
+    monkeypatch.setenv("CHAOS_THREADS", "2")
+    tasks = [lambda i=i: (i, "ok") for i in range(2)]
+    assert _within(30, lambda: chaoscan._run_indexed(tasks)) == [(0, "ok"), (1, "ok")]
+    assert len(forks) == 2
+    _assert_reaped(forks)
 
 
 @fallback_only
@@ -198,12 +226,12 @@ def test_commands_without_a_scan_fork_nothing(tmp_path, monkeypatch, forks, comm
 
 @fallback_only
 def test_importing_the_cli_loads_no_multiprocessing():
-    code = ("import sys, chaoskit.cli; "
-            "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
+    code = ("import sys, chaoskit.cli; print(*(name in sys.modules for name in "
+            "('multiprocessing', 'concurrent.futures', 'signal')))")
     src = os.path.dirname(os.path.dirname(_k.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert out.stdout == "False False\n"
+    assert out.stdout == "False False False\n"
 
 
 def _errors(cls=ChaoskitError):
