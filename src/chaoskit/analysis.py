@@ -104,6 +104,12 @@ def _linear_part(spec: SystemSpec, at_time: float):
         raise ValidationError([f"at_time must be finite, got {at_time}"])
     p = spec.params
     if spec.form == FORM_B:
+        if p.n == 1 and p.gamma * p.delta != 0.0:
+            raise ValidationError([
+                f"form B with n = 1 has the periodic linear term gamma*delta*sin(omega*t)*x "
+                f"(gamma*delta = {p.gamma * p.delta:g}), which no frozen linearization holds: "
+                f"its stability is parametric; estimate it with lyapunov"
+            ])
         a_eff, b_eff = p.alpha, p.beta
     else:
         origin = State(at_time, 0.0, 0.0)
@@ -116,9 +122,13 @@ def _linear_part(spec: SystemSpec, at_time: float):
 def linearized_eigen(spec: SystemSpec, at_time: float = 1.0) -> EigenReport:
     """Eigenvalues of the flow linearized at x = v = 0.
 
-    Form B is autonomous in its linear part, so alpha_eff = alpha and
-    beta_eff = beta.  The A forms carry 1/t^q coefficients; they are frozen
-    at ``at_time``, which is refused where a run could not start (SingularTime).
+    On form B with n >= 2 the forcing term is nonlinear, so the linear part
+    is autonomous, with alpha_eff = alpha and beta_eff = beta.  With n = 1
+    the forcing gamma*delta*sin(omega*t)*x is a periodic linear coefficient
+    (parametric resonance, which no eigenvalue pair describes), so a system
+    with gamma*delta != 0 is refused.  The A forms carry 1/t^q coefficients;
+    they are frozen at ``at_time``, which is refused where a run could not
+    start (SingularTime).
     """
     validate(spec)
     a_eff, b_eff, l1, l2 = _linear_part(spec, at_time)
@@ -170,7 +180,9 @@ def hopf_scan(
     to ``resolution``, which must be > 0.
     Parameter constraints are not enforced on scanned values, so axes may
     sweep through regions a strict validate would reject.  An axis on which
-    (alpha_eff, beta_eff) is the same at every value is refused as inert.
+    (alpha_eff, beta_eff) is the same at every value is refused as inert,
+    and so is any value with a periodic linear term (form B, n = 1,
+    gamma*delta != 0), as in ``linearized_eigen``.
     """
     if not resolution > 0.0:
         raise ValidationError([f"resolution must be > 0, got {resolution}"])

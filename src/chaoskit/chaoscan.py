@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,7 +99,9 @@ def poincare(
     Stroboscopic sections only make sense against the periodic forcing of
     form B, so they require form B with delta != 0; anything else raises
     SectionMismatch.  A diverged run still returns its (possibly empty)
-    post-transient hits, flagged by status.
+    post-transient hits, flagged by status.  The run keeps only its events:
+    its sample stride is wider than any run, so the kernel records the
+    start and end states and no trajectory (cfg.sample_every is not read).
     """
     if isinstance(section, Stroboscopic) and (spec.form != FORM_B or spec.params.delta == 0.0):
         raise SectionMismatch(
@@ -106,7 +109,8 @@ def poincare(
         )
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
-    traj, events = integrate_with_events(spec, initial, cfg, section)
+    events_only = replace(cfg, sample_every=sys.maxsize)
+    traj, events = integrate_with_events(spec, initial, events_only, section)
     t_cut = initial.t + transient_fraction * (cfg.t_end - initial.t)
     keep = events.t >= t_cut
     points = np.column_stack([getattr(events, name)[keep] for name in section.columns])

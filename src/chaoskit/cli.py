@@ -9,11 +9,16 @@ Exit codes: 0 on success (a diverged trajectory is still data and exits 0
 with its status recorded), 1 for validation problems (reported one per line
 on stderr), 2 for runtime failures such as an unbracketed boundary, a
 trajectory that escapes mid-estimate or a run too long to allocate.
+
+``main`` builds the argument parser on its first call and reuses it for
+the life of the process, so a caller that runs many commands in one
+process holds one parser, not one per command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -438,10 +443,17 @@ def rerun(manifest, out: str, plot_out: str | None = None):
     execute(manifest, out, plot_out)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  A parser is a tree of some 240 actions
+    full of reference cycles, so one per call would outlive the call until
+    the next full garbage collection; parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         manifest, out, plot_out = manifest_from_args(args)
         execute(manifest, out, plot_out)
     except _UsageError as exc:

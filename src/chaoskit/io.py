@@ -6,11 +6,20 @@ top-level "manifest" key.  A manifest captures command, system, initial
 state, integrator settings, and options, which is enough to re-run the
 artifact byte-for-byte.  Floats are written with %.17g so values survive a
 round trip through text.
+
+Tables are formatted and written a block of ROWS_PER_BLOCK rows at a time.
+A writer whose write raises removes the regular file it truncated before
+the error propagates, so a failed write leaves no artifact that looks whole;
+a FIFO or device given as the path is left alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+from contextlib import contextmanager, suppress
+from itertools import chain
 
 import numpy as np
 
@@ -46,20 +55,38 @@ def read_manifest(path) -> dict:
     return payload["manifest"]
 
 
+@contextmanager
+def _created(path):
+    """open(path, "w") for an artifact; if the body or the close raises, a
+    regular file at path is removed before the error propagates."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if regular:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _write_table(path, head, columns: dict, sep=","):
     """Write head, the column names joined by sep, then one line per index
-    of the equal-length array columns.  Every row goes through one template:
-    float columns as FLOAT_FMT, text columns (labels, markers) as %s.  Rows
-    are formatted from Python lists, which is faster than from numpy scalars
-    and gives the same text, ROWS_PER_BLOCK at a time, so that a long table
-    never holds all its values as Python objects at once."""
+    of the equal-length array columns.  Every row follows one template:
+    float columns as FLOAT_FMT, text columns (labels, markers) as %s.  A
+    block of ROWS_PER_BLOCK rows is one % of the template repeated for the
+    block over the block's values in row order, taken from Python lists
+    (faster than numpy scalars, and the same text), and one write; a long
+    table never holds more than one block as Python objects."""
     row = sep.join(FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in columns.values()) + "\n"
     cols = list(columns.values())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _created(path) as fh:
         fh.write(head + sep.join(columns) + "\n")
         for i in range(0, max(map(len, cols)), ROWS_PER_BLOCK):
             block = [c[i : i + ROWS_PER_BLOCK].tolist() for c in cols]
-            fh.writelines(map(row.__mod__, zip(*block, strict=True)))
+            values = tuple(chain.from_iterable(zip(*block, strict=True)))
+            fh.write(row * len(block[0]) % values)
 
 
 def _csv_head(manifest):
@@ -138,7 +165,7 @@ def write_lambda_map_csv(path, lmap: LambdaMap, manifest: dict):
 def write_json(path, payload: dict, manifest: dict):
     doc = {"manifest": manifest}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _created(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -163,6 +190,6 @@ def emit_plotdata(path, columns: dict, meta: dict):
     _write_table(path, "# ", {k: np.asarray(c, dtype=float) for k, c in columns.items()}, sep=" ")
     sidecar = dict(meta)
     sidecar["columns"] = list(columns)
-    with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
+    with _created(str(path) + ".meta.json") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,6 +6,7 @@ exponent estimators must reproduce -alpha/2 on the damped linear system.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,18 @@ def test_linearization_refuses_a_non_finite_time(spec, at_time):
         linearized_eigen(spec, at_time=at_time)
     with pytest.raises(ValidationError, match="at_time must be finite"):
         hopf_scan(spec, "alpha", 0.1, 1.0, at_time=at_time)
+
+
+def test_linearization_refuses_a_periodic_linear_term():
+    # form B with n = 1 is a damped Mathieu equation: no frozen eigenvalue
+    # pair holds its parametric resonance
+    mathieu = Params(alpha=0.2, beta=1.0, gamma=1.0, delta=1.0, omega=2.0, n=1)
+    with pytest.raises(ValidationError, match=r"periodic linear term gamma\*delta"):
+        linearized_eigen(SystemSpec(form=FORM_B, params=mathieu))
+    with pytest.raises(ValidationError, match="estimate it with lyapunov"):
+        hopf_scan(SystemSpec(form=FORM_B, params=replace(mathieu, gamma=0.0)), "gamma", 0.0, 1.0)
+    for params in (replace(mathieu, gamma=0.0), replace(mathieu, delta=0.0), replace(mathieu, n=2)):
+        assert linearized_eigen(SystemSpec(form=FORM_B, params=params)).max_real_part == -0.1
 
 
 def test_hopf_scan_finds_the_crossing_at_zero_damping():

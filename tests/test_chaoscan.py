@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ def test_poincare_velocity_section_columns_are_t_x():
     assert sec.status == CELL_OK
     assert np.all(np.diff(sec.points[:, 0]) > 0)  # first column is time
     assert np.array_equal(sec.x_coords(), sec.points[:, 1])
+
+
+def test_a_section_run_keeps_no_trajectory():
+    # 2e5 rk4 steps: three trajectory columns of them took 4.8 MB, and the
+    # vzero section's event slots as many again; a strobo run keeps 57 hits
+    cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=200.0)
+    tracemalloc.start()
+    try:
+        section = poincare(FORCED, INI, cfg, Stroboscopic(period=math.pi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert section.status == CELL_OK and len(section) == 57
+    assert peak < 1_000_000
 
 
 def test_poincare_stroboscopic_requires_forced_theorem_form():

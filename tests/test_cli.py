@@ -2,10 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import chaoskit
+from chaoskit import cli
 from chaoskit.cli import main, rerun
+from chaoskit.integrate import Trajectory
 from chaoskit.io import read_manifest
 
 
@@ -790,3 +799,135 @@ def test_plot_out_writes_sidecar(tmp_path, command):
     meta = json.loads((tmp_path / "plot.dat.meta.json").read_text())
     assert meta["columns"] == columns
     assert meta["command"] == command
+
+
+# The chaotic family of acceptance criteria 5-7 on a short run; its
+# gamma = 48 runs escape near t = 1.4.
+CHAOTIC = ["--form", "B", "--alpha", "0.4", "--beta", "64", "--gamma", "1", "--delta", "0.00390625",
+           "--omega", "16", "--n", "3", "--epsilon", "Constant", "--epsilon-c", "2048", "--x0", "-32",
+           "--t-end", "2.5", "--dt", "6.25e-4"]
+# section runs and the sha256 of the artifact each wrote while the section
+# runs still kept their trajectory samples
+SECTION_RUNS = {
+    "strobo": (["poincare", "--section", "strobo", *FORCED, "--t-end", "100", "--dt", "1e-2"],
+               "a8fa17f01e6b83b43bdde6ef53213fb85b1832b891e524f7e9c7c05fa2a5e4bf"),
+    "vzero": (["poincare", "--section", "vzero", "--direction", "falling", *FORCED, "--t-end", "30",
+               "--dt", "1e-2"],
+              "229545a368912c65744fc71631e9abb77c0f3d9f823d8194de6e34b5abde8007"),
+    "vzero-diverged": (["poincare", "--section", "vzero", *CHAOTIC, "--gamma", "48"],
+                       "1e9af8684d6f50f3033f6355fdd26b9905b8d2d9759038bca6acde37c9b0f32c"),
+    "bifurcation": (["bifurcation", "--section", "strobo", "--axis", "gamma", "--lo", "0.6",
+                     "--hi", "48", "--steps", "6", *CHAOTIC],
+                    "308591f69b71f0ed9ddada63ddce5ce4db62755a26c54db48fc48285810f7d34"),
+}
+
+
+@pytest.mark.parametrize("case", list(SECTION_RUNS))
+def test_section_runs_keep_their_bytes(tmp_path, case):
+    argv, digest = SECTION_RUNS[case]
+    out, again = tmp_path / "first", tmp_path / "again"
+    assert run(argv + ["--out", str(out)]) == 0
+    rerun(str(out), str(again))
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, again)] == [digest, digest]
+
+
+def test_hopf_refuses_a_periodic_linear_term(tmp_path, capsys):
+    # with n = 1 the forcing gamma*delta*sin(omega t)*x is a Mathieu term:
+    # the frozen linearization called alpha > 0 stable where lyapunov finds
+    # lambda > 0 at alpha = 0.2
+    out = tmp_path / "hopf.json"
+    for argv in (
+        [*MATHIEU, "--gamma", "1", "--axis", "alpha", "--lo", "-1", "--hi", "1"],
+        [*MATHIEU, "--axis", "gamma", "--lo", "0", "--hi", "1"],  # gamma = 0 alone is linear
+    ):
+        assert run(["hopf", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: form B with n = 1 has the periodic")
+        assert "gamma*delta*sin(omega*t)*x" in err[0] and "lyapunov" in err[0]
+        assert not out.exists()
+    # without the forcing, or with n = 2, the linear part is autonomous
+    assert run(["hopf", *MATHIEU, "--axis", "alpha", "--lo", "-1", "--hi", "1",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["crossings"] == [0.0]
+    assert run(["hopf", *FORCED, "--axis", "alpha", "--lo", "-1", "--hi", "1",
+                "--out", str(out)]) == 0
+
+
+class _Exploding:
+    """A table cell whose text cannot be formatted: the disk is full."""
+
+    def __str__(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_write_that_fails_mid_table_leaves_no_artifact(tmp_path, monkeypatch, capsys):
+    # the x column fails at row 1500 of 3000, in the second block of rows
+    x = np.array([0.5] * 3000, dtype=object)
+    x[1500] = _Exploding()
+    t = np.linspace(0.0, 1.0, 3000)
+    monkeypatch.setattr(cli, "integrate", lambda spec, *_: Trajectory(spec, t, x, t, "completed"))
+    out = tmp_path / "traj.csv"
+    out.write_text("an older artifact\n")
+    assert run(["simulate", *LINEAR, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not out.exists()
+
+
+# every command, a usage error, an unknown command, a refusal and --help
+IN_PROCESS_SET = [
+    *(argv + ["--plot-out", "PLOT"] for argv, _ in EVERY_COMMAND.values()),
+    ["poincare", *LINEAR],
+    ["frobnicate"],
+    ["map", *EVERY_COMMAND["map"][0][1:], "--axis1", "q"],
+    ["hopf", *MATHIEU, "--gamma", "1", "--axis", "alpha", "--lo", "-1", "--hi", "1"],
+    ["simulate", "--help"],
+    ["--help"],
+]
+
+
+def _in_process(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_a_sequence_of_calls_matches_fresh_processes(tmp_path, capsys):
+    # one parser serves every call of a process: each call's exit code,
+    # stdout, stderr and files equal those of the call in a fresh process
+    src = str(Path(chaoskit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys\nfrom chaoskit.cli import main\nsys.exit(main(sys.argv[1:]))"
+    for i, argv in enumerate(IN_PROCESS_SET):
+        files = {}
+        for side in ("seq", "fresh"):
+            where = tmp_path / side / str(i)
+            where.mkdir(parents=True)
+            full = [str(where / "plot") if a == "PLOT" else a for a in argv]
+            if "--help" not in argv and argv[0] != "frobnicate":
+                full += ["--out", str(where / "out")]
+            if side == "seq":
+                code = _in_process(full)
+                got = (code, *capsys.readouterr())
+            else:
+                proc = subprocess.run([sys.executable, "-c", script, *full], env=env,
+                                      capture_output=True, text=True)
+                got = (proc.returncode, proc.stdout, proc.stderr)
+            files[side] = got, {p.name: p.read_bytes() for p in where.iterdir()}
+        assert files["seq"] == files["fresh"], argv
+
+
+def test_repeated_calls_hold_one_parser(tmp_path):
+    argv = EVERY_COMMAND["simulate"][0] + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            assert main(argv) == 0
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a parser per call left about 27 kB per call behind until a full collection
+    assert growth < 256_000
+    assert cli._parser() is cli._parser()

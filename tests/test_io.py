@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
+import pytest
 
 from chaoskit import (
     Axis,
@@ -26,6 +30,9 @@ from chaoskit import (
     poincare,
 )
 from chaoskit.io import (
+    FLOAT_FMT,
+    ROWS_PER_BLOCK,
+    _write_table,
     classify_lambda,
     emit_plotdata,
     manifest_line,
@@ -243,3 +250,77 @@ def test_emit_plotdata_golden_text(tmp_path):
     assert (tmp_path / "plot.dat.meta.json").read_bytes().decode() == (
         '{\n  "columns": [\n    "gamma",\n    "lambda"\n  ],\n  "command": "critical"\n}\n'
     )
+
+
+def _per_row(head, columns, sep):
+    """The table _write_table writes, one row at a time: floats as %.17g,
+    anything else as its str."""
+    cells = [[format(float(v), ".17g") if c.dtype.kind == "f" else str(v) for v in c]
+             for c in columns.values()]
+    return head + sep.join(columns) + "\n" + "".join(sep.join(r) + "\n" for r in zip(*cells))
+
+
+def _table(rows, text):
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    a[: min(rows, 4)] = [math.nan, -math.inf, -0.0, 0.1][: min(rows, 4)]
+    columns = {"t": np.linspace(0.0, 1.0, rows), "a": a, "b": rng.uniform(-1.0, 1.0, rows)}
+    if text:
+        columns["label"] = rng.choice(["ok", "Diverged", "Empty"], rows)
+    return columns
+
+
+@pytest.mark.parametrize("rows", [0, 1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
+                                  2 * ROWS_PER_BLOCK + 1])
+@pytest.mark.parametrize("text, sep", [(False, ","), (True, ","), (False, " ")])
+def test_blocks_write_the_rows_a_row_at_a_time_would(tmp_path, rows, text, sep):
+    assert FLOAT_FMT == "%.17g"
+    columns = _table(rows, text)
+    path = tmp_path / "table"
+    _write_table(path, "# head\n", columns, sep=sep)
+    written = path.read_text().splitlines(keepends=True)
+    expected = _per_row("# head\n", columns, sep).splitlines(keepends=True)
+    # the first line that differs, not a diff of two long texts
+    differs = next((i for i, pair in enumerate(zip(written, expected)) if pair[0] != pair[1]), None)
+    assert (len(written), differs) == (len(expected), None)
+
+
+class _Exploding:
+    """A table cell whose text cannot be formatted: the disk is full."""
+
+    def __str__(self):
+        raise OSError(28, "No space left on device")
+
+
+def _failing_table():
+    # the label column fails at row 1500 of 3000, in the second block of rows
+    label = np.array(["ok"] * 3000, dtype=object)
+    label[1500] = _Exploding()
+    return {"t": np.linspace(0.0, 1.0, 3000), "label": label}
+
+
+def test_a_write_that_fails_removes_its_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("an older artifact\n")
+    with pytest.raises(OSError, match="No space left"):
+        _write_table(path, "# head\n", _failing_table())
+    assert not path.exists()
+    # json.dump writes the manifest before it meets the value it cannot encode
+    with pytest.raises(TypeError):
+        write_json(path, {"x": _Exploding()}, MANIFEST)
+    assert not path.exists()
+
+
+def test_a_write_that_fails_leaves_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+    reader.start()
+    try:
+        with pytest.raises(OSError, match="No space left"):
+            _write_table(fifo, "# head\n", _failing_table())
+    finally:
+        reader.join(30)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received[0].startswith("# head\nt,label\n")
