@@ -15,8 +15,8 @@ as a float64 scalar, as compiled code would run it.
 
 Under the fallback the six run kernels (the trajectory, event and exponent
 loops) run in a scan's kernel worker processes when a scan thread calls
-them: ``_workers._run_indexed`` forks one per scan thread and kills and
-reaps them when the scan ends.
+them: ``_workers._run_indexed`` forks one per scan thread when a scan runs
+on two or more threads, and kills and reaps them when the scan ends.
 
 Under the fallback a step costs interpreter work, not arithmetic, so the
 kernels spend as little of it as they can without changing one

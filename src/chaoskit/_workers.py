@@ -1,10 +1,11 @@
 """How a scan's cells run at once.
 
-``_run_indexed`` runs a scan's cells on a thread pool ``max_workers()``
-wide (``CHAOS_THREADS`` or the usable CPUs, at most one thread per cell).
+``_run_indexed`` runs a scan's cells on a thread pool as wide as the CPUs
+in the process's affinity mask, at most one thread per cell; narrow the
+mask (``taskset``, a container cpuset) to run a scan on fewer cores.
 Compiled kernels drop the GIL, so under numba the threads compute side by
-side.  The fallback holds the GIL, so there the scan first forks one kernel
-worker per thread, up to the usable CPUs, and each pool thread takes its
+side.  The fallback holds the GIL, so there a scan on two or more threads
+first forks one kernel worker per thread, and each pool thread takes its
 own worker's pipe in the pool's initializer.  The six run kernels are
 wrapped by ``in_worker``: a call on a scan thread is sent down the thread's
 pipe, the worker runs the plain kernel and sends back the result and the
@@ -23,9 +24,10 @@ import threading
 
 import numpy as np
 
-from .errors import ChaoskitError, ValidationError
+from .errors import ChaoskitError
 
-# The plain run kernels by name, as a kernel worker process runs them.
+# The plain run kernels by name, as a kernel worker process runs them;
+# empty under numba, whose run kernels are compiled and never wrapped.
 _PLAIN = {}
 # Holds ``conn``, the pipe to this thread's worker, on a scan's threads.
 _scan_thread = threading.local()
@@ -90,34 +92,13 @@ def serve(conn, inherited):
             return
 
 
-def _usable_cpus() -> int:
+def max_workers() -> int:
+    """Scan width: the CPUs in the process's affinity mask, or the CPU
+    count where the platform has no affinity call."""
     try:
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
+    except AttributeError:
         return os.cpu_count() or 1
-
-
-def max_workers() -> int:
-    """Scan width: CHAOS_THREADS if set, else the usable CPUs.  A value
-    that is not a whole number >= 1 is refused."""
-    raw = os.environ.get("CHAOS_THREADS", "").strip()
-    if not raw:
-        return _usable_cpus()
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValidationError([f"CHAOS_THREADS must be a whole number >= 1, got {raw!r}"])
-    return int(raw)
-
-
-def kernel_processes(width: int) -> int:
-    """How many kernel worker processes a scan on ``width`` threads forks:
-    one per thread up to the usable CPUs, and none where that is fewer than
-    two, under numba (whose kernels drop the GIL) or without os.fork."""
-    from . import _kernels  # read at call time: _kernels imports this module
-
-    count = min(width, _usable_cpus())
-    if count < 2 or _kernels.NUMBA_ENABLED or not hasattr(os, "fork"):
-        return 0
-    return count
 
 
 def _take_pipe(pipes):
@@ -127,20 +108,20 @@ def _take_pipe(pipes):
 def _run_indexed(tasks, order=None):
     """Run the callables side by side, submitted in ``order`` (a permutation
     of the task indices), and return their results by task index.  If
-    several tasks raise, the lowest-index one's exception propagates.  The
-    kernel workers that ``kernel_processes`` asks for are forked before any
-    pool thread starts, and none outlives the call."""
+    several tasks raise, the lowest-index one's exception propagates.  On
+    the fallback, a call on two or more threads forks one kernel worker per
+    thread before any pool thread starts, and none outlives the call."""
     from concurrent.futures import ThreadPoolExecutor  # only a scan pays for the import
 
     order = range(len(tasks)) if order is None else order
     width = min(max_workers(), len(tasks))
-    count = kernel_processes(width)
-    if count:  # only a scan that forks pays for these imports
+    forking = width > 1 and _PLAIN and hasattr(os, "fork")
+    if forking:  # only a scan that forks pays for these imports
         import signal
         from multiprocessing.connection import Pipe
     conns, pids = [], []
     try:
-        for _ in range(count):
+        for _ in range(width if forking else 0):
             mine, theirs = Pipe()
             pid = os.fork()
             if pid == 0:
@@ -152,7 +133,7 @@ def _run_indexed(tasks, order=None):
             theirs.close()  # so that the worker's death reads as EOF here
             conns.append(mine)
         pipes = iter(conns)
-        with ThreadPoolExecutor(count or width, initializer=_take_pipe, initargs=(pipes,)) as pool:
+        with ThreadPoolExecutor(width, initializer=_take_pipe, initargs=(pipes,)) as pool:
             futures = {i: pool.submit(tasks[i]) for i in order}
     finally:
         for conn in conns:

@@ -177,15 +177,15 @@ def hopf_scan(
 
     Scans the ``Axis`` of ``steps`` evenly spaced values of the named
     parameter (hi > lo, steps >= 2), then bisects each bracketing pair down
-    to ``resolution``, which must be > 0.
+    to ``resolution``, which must be finite and > 0.
     Parameter constraints are not enforced on scanned values, so axes may
     sweep through regions a strict validate would reject.  An axis on which
     (alpha_eff, beta_eff) is the same at every value is refused as inert,
     and so is any value with a periodic linear term (form B, n = 1,
     gamma*delta != 0), as in ``linearized_eigen``.
     """
-    if not resolution > 0.0:
-        raise ValidationError([f"resolution must be > 0, got {resolution}"])
+    if not 0.0 < resolution < math.inf:
+        raise ValidationError([f"resolution must be finite and > 0, got {resolution}"])
 
     def max_real(val):
         _, _, l1, l2 = _linear_part(with_param(spec, axis, val), at_time)

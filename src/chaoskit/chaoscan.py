@@ -4,8 +4,9 @@ and bisection onto the stability boundary.
 Every grid scan runs its cells one way: ``_scan`` sets each grid point's
 axis values on the system, refuses an axis that enters the dynamics at no
 grid point, and hands the cells to ``_run_indexed``, which runs them at once,
-``max_workers()`` wide, and returns the results by cell index, so output is
-independent of the scan's width and evaluation order.  Both come from
+``max_workers()`` wide (the CPUs in the process's affinity mask, at most one
+per cell), and returns the results by cell index, so output is independent
+of the scan's width and evaluation order.  Both come from
 ``_workers``; ``_scan`` looks ``_run_indexed`` up here, so that a caller
 can replace it.  Critical bisection probes one system at a time, in
 process.  Exponents within ``NOISE_FLOOR`` of zero are reported as
@@ -187,8 +188,14 @@ def bifurcation_sweep(
 
     Every cell starts from the same initial state and integrator settings;
     there is no continuation between neighboring cells, so hysteresis cannot
-    leak across the sweep.
+    leak across the sweep.  A stroboscopic section on an omega axis is
+    refused: its one period is stroboscopic at one omega only.
     """
+    if isinstance(section, Stroboscopic) and axis.name == "omega":
+        raise ValidationError([
+            "a stroboscopic section samples every cell at one period, so it cannot "
+            "sweep omega; use a velocity-zero section (--section vzero)"
+        ])
 
     def cell(system):
         sec = poincare(system, initial, cfg, section, transient_fraction)
@@ -304,8 +311,8 @@ def critical_bisect(
     lam_at = _lambda_probe(initial, cfg, estimator, estimator_kwargs)
     if not hi > lo:
         raise ValidationError([f"need hi > lo, got [{lo}, {hi}]"])
-    if not tol > 0.0:
-        raise ValidationError([f"tolerance must be > 0, got {tol}"])
+    if not 0.0 < tol < math.inf:
+        raise ValidationError([f"tolerance must be finite and > 0, got {tol}"])
 
     refuse_inert(axis, [with_param(spec, axis, lo)])
     probes: list[tuple[float, float]] = []

@@ -277,7 +277,7 @@ COMMANDS = {
         _axis_flags(steps=41)
         + (
             ("--at-time", dict(type=_finite_float(), default=1.0)),
-            ("--resolution", dict(type=float, default=1e-6)),
+            ("--resolution", dict(type=_finite_float(True), default=1e-6)),
         ),
         _hopf,
         lambda out, payload, m: _io.write_json(out, payload, m),
@@ -324,7 +324,7 @@ COMMANDS = {
     ),
     "critical": Command(
         "bisect onto the stability boundary",
-        _ESTIMATOR_FLAGS + _axis_flags() + (("--tol", dict(type=float, default=1e-2)),),
+        _ESTIMATOR_FLAGS + _axis_flags() + (("--tol", dict(type=_finite_float(True), default=1e-2)),),
         lambda spec, opts, initial, cfg: critical_bisect(
             spec,
             opts["axis"],

@@ -54,10 +54,10 @@ class IntegratorConfig:
             msgs.append(f"t_end must be finite, got {self.t_end}")
         if not self.dt > 0.0:
             msgs.append(f"dt must be > 0, got {self.dt}")
-        if not self.abs_tol > 0.0:
-            msgs.append(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not self.rel_tol > 0.0:
-            msgs.append(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not 0.0 < self.abs_tol < math.inf:
+            msgs.append(f"abs_tol must be finite and > 0, got {self.abs_tol}")
+        if not 0.0 < self.rel_tol < math.inf:
+            msgs.append(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if self.sample_every < 1:
             msgs.append(f"sample_every must be >= 1, got {self.sample_every}")
         if not self.blowup_threshold > 0.0:

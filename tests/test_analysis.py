@@ -160,6 +160,12 @@ def test_linearization_refuses_a_non_finite_time(spec, at_time):
         hopf_scan(spec, "alpha", 0.1, 1.0, at_time=at_time)
 
 
+@pytest.mark.parametrize("resolution", [math.inf, math.nan, 0.0])
+def test_hopf_scan_refuses_a_resolution_that_is_not_finite_and_positive(resolution):
+    with pytest.raises(ValidationError, match="resolution must be finite and > 0"):
+        hopf_scan(LINEAR, "alpha", -1.0, 1.0, resolution=resolution)
+
+
 def test_linearization_refuses_a_periodic_linear_term():
     # form B with n = 1 is a damped Mathieu equation: no frozen eigenvalue
     # pair holds its parametric resonance

@@ -30,6 +30,7 @@ from chaoskit import (
     lambda_map,
     poincare,
 )
+from chaoskit import _workers, chaoscan
 from chaoskit.chaoscan import CELL_DIVERGED, CELL_EMPTY, CELL_OK, _run_indexed
 
 FORCED = SystemSpec(form=FORM_B, params=Params(alpha=0.1, beta=1.0, gamma=0.3, delta=0.5, omega=2.0))
@@ -225,7 +226,7 @@ def _cell(i, ran, failing=()):
 
 
 def test_run_indexed_on_one_worker_keeps_results_at_their_index(monkeypatch):
-    monkeypatch.setenv("CHAOS_THREADS", "1")
+    monkeypatch.setattr(_workers, "max_workers", lambda: 1)
     ran = []
     order = [3, 0, 5, 1, 4, 2]
     results = _run_indexed([_cell(i, ran) for i in range(6)], order)
@@ -236,7 +237,7 @@ def test_run_indexed_on_one_worker_keeps_results_at_their_index(monkeypatch):
 
 
 def test_run_indexed_raises_the_lowest_failing_cell(monkeypatch):
-    monkeypatch.setenv("CHAOS_THREADS", "2")
+    monkeypatch.setattr(_workers, "max_workers", lambda: 2)
     with pytest.raises(ValueError, match="cell 1 failed"):
         _run_indexed([_cell(i, [], failing=(1, 3)) for i in range(5)], [4, 3, 2, 1, 0])
 
@@ -275,6 +276,22 @@ def test_critical_bisect_rejects_weak_endpoints():
     with pytest.raises(Indeterminate):
         critical_bisect(weak, "alpha", 0.02, 1.0, 1e-2, INI, cfg)
     assert NOISE_FLOOR == 0.01
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+def test_critical_bisect_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # an infinite tolerance once reported the unbisected midpoint as the boundary
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=60.0)
+    with pytest.raises(ValidationError, match="tolerance must be finite and > 0"):
+        critical_bisect(LINEAR, "alpha", -0.5, 1.0, tol, INI, cfg)
+
+
+def test_a_strobo_sweep_refuses_an_omega_axis_before_any_cell(monkeypatch):
+    # one fixed period is stroboscopic at one omega only
+    monkeypatch.setattr(chaoscan, "_run_indexed", None)  # a cell run would fail here
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=10.0)
+    with pytest.raises(ValidationError, match="cannot sweep omega"):
+        bifurcation_sweep(FORCED, Axis("omega", 1.0, 3.0, 3), INI, cfg, Stroboscopic(period=math.pi))
 
 
 def test_critical_bisect_requires_a_sign_change():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chaoskit
-from chaoskit import cli
+from chaoskit import _workers, cli
 from chaoskit.cli import main, rerun
 from chaoskit.integrate import Trajectory
 from chaoskit.io import read_manifest
@@ -300,17 +300,24 @@ def test_collapsed_tangent_vector_exits_two(tmp_path, capsys):
         (["poincare", "--section", "vzero", *LINEAR, "--v0=-inf"], "argument --v0"),
         (["lyapunov", *LINEAR, "--tangent0", "inf", "0"], "argument --tangent0"),
         (["lyapunov", *LINEAR, "--tangent0", "0", "nan"], "argument --tangent0"),
+        ([*EVERY_COMMAND["critical"][0], "--tol", "inf"], "argument --tol"),
+        ([*EVERY_COMMAND["hopf"][0], "--resolution", "inf"], "argument --resolution"),
+        (["simulate", *LINEAR, "--method", "rkf45", "--abs-tol", "inf"], "abs_tol"),
+        (["simulate", *LINEAR, "--method", "rkf45", "--rel-tol", "inf"], "rel_tol"),
     ],
     ids=["nan-param", "nan-preset", "infinite-map-axis", "infinite-hopf-axis", "infinite-t-end",
          "infinite-renorm-interval", "zero-renorm-interval", "nan-map-renorm-interval",
          "infinite-critical-renorm-interval", "infinite-period", "infinite-phase",
          "infinite-at-time", "nan-at-time", "nan-t0", "infinite-x0", "infinite-v0",
-         "infinite-tangent0", "nan-tangent0"],
+         "infinite-tangent0", "nan-tangent0", "infinite-tol", "infinite-resolution",
+         "infinite-abs-tol", "infinite-rel-tol"],
 )
 def test_non_finite_input_exits_one(tmp_path, capsys, args, key):
     # each of these once ran (or died with a traceback) instead of being refused:
-    # an infinite renorm interval or phase overflowed int(), an infinite period
-    # wrote Infinity into the manifest, an infinite --at-time, --t0, --x0 or
+    # an infinite renorm interval or phase overflowed int(), an infinite period,
+    # --tol, --resolution, --abs-tol or --rel-tol wrote Infinity into the
+    # manifest (--tol inf reported the unbisected midpoint as the boundary),
+    # an infinite --at-time, --t0, --x0 or
     # --v0 was named "state field t" (or x, v), and a non-finite --tangent0
     # was reported as a tangent overflow at the first step
     run_flags = [] if args[0] == "hopf" or "--t-end" in args else ["--t-end", "1", "--dt", "0.1"]
@@ -734,8 +741,8 @@ def test_unknown_document_key_exits_one(tmp_path, capsys, source, keys):
 def test_pool_width_leaves_scan_bytes_alone(tmp_path, monkeypatch, command):
     argv, _ = EVERY_COMMAND[command]
     written = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CHAOS_THREADS", threads)
+    for threads in (1, 2):
+        monkeypatch.setattr(_workers, "max_workers", lambda threads=threads: threads)
         out, plot = tmp_path / f"{threads}.out", tmp_path / f"{threads}.dat"
         assert run(argv + ["--out", str(out), "--plot-out", str(plot)]) == 0
         written.append((out.read_bytes(), plot.read_bytes()))
@@ -829,6 +836,29 @@ def test_section_runs_keep_their_bytes(tmp_path, case):
     assert run(argv + ["--out", str(out)]) == 0
     rerun(str(out), str(again))
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, again)] == [digest, digest]
+
+
+def test_a_strobo_bifurcation_refuses_an_omega_axis(tmp_path, capsys):
+    # every cell sampled at the base spec's 2*pi/omega: the omega = 1 cell
+    # alternated -0.48678 / -1.54598 where its own period gives one point
+    system = ["--section", "strobo", "--form", "B", "--alpha", "0.5", "--beta", "1", "--gamma",
+              "0.5", "--delta", "0.5", "--omega", "2", "--n", "2", "--epsilon", "Constant",
+              "--epsilon-c", "1"]
+    out = tmp_path / "bif.csv"
+    for period in ([], ["--period", "3.14159"]):
+        assert run(["bifurcation", *system, *period, "--x0", "-1", "--axis", "omega", "--lo", "1",
+                    "--hi", "3", "--steps", "3", "--t-end", "300", "--dt", "1e-2",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a stroboscopic section")
+        assert "omega" in err[0] and "--section vzero" in err[0]
+        assert not out.exists()
+    # a gamma axis keeps the bytes it wrote before the refusal
+    assert run(["bifurcation", *system, "--x0", "0.5", "--axis", "gamma", "--lo", "0.5", "--hi",
+                "1.5", "--steps", "3", "--t-end", "60", "--dt", "1e-2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0b18353cec90282df7d8b1fae52ad627ca17f5d2163a36b688e542252ec4f206"
+    )
 
 
 def test_hopf_refuses_a_periodic_linear_term(tmp_path, capsys):

@@ -146,6 +146,14 @@ def test_config_rejects_bad_values():
         IntegratorConfig(method="rk4", dt=1e-3, t_end=1.0, sample_every=0)
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_config_refuses_a_tolerance_that_is_not_finite_and_positive(field, value):
+    # an infinite tolerance once ran and wrote Infinity into the manifest
+    with pytest.raises(ValidationError, match=f"{field} must be finite and > 0"):
+        IntegratorConfig(method="rkf45", dt=1e-3, t_end=1.0, **{field: value})
+
+
 def test_singular_start_raises_singular_time():
     spec = SystemSpec(
         form=FORM_A1,

@@ -36,7 +36,7 @@ SMALL_MAP = [
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the processes forked from here on, on a host of two usable CPUs."""
+    """The pids of the processes forked from here on."""
     pids = []
     real_fork = os.fork
 
@@ -47,8 +47,12 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     return pids
+
+
+def _width(monkeypatch, threads):
+    """Scans from here on run on this many threads, at most one per cell."""
+    monkeypatch.setattr(_workers, "max_workers", lambda: threads)
 
 
 def _assert_reaped(pids):
@@ -76,58 +80,63 @@ def _within(seconds, fn):
     return box["value"]
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", "2 threads"])
-def test_chaos_threads_must_be_a_whole_number(monkeypatch, capsys, tmp_path, raw):
-    monkeypatch.setenv("CHAOS_THREADS", raw)
-    with pytest.raises(ValidationError, match="CHAOS_THREADS"):
-        chaoscan.max_workers()
-    out = tmp_path / "map.csv"
-    assert main(SMALL_MAP + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: CHAOS_THREADS must be a whole number >= 1, got {raw!r}\n"
-    )
-    assert not out.exists()
-
-
-def test_chaos_threads_sets_the_width(monkeypatch):
-    monkeypatch.setenv("CHAOS_THREADS", " 3 ")
-    assert chaoscan.max_workers() == 3
-    monkeypatch.setenv("CHAOS_THREADS", "")
-    assert chaoscan.max_workers() == _workers._usable_cpus()
-
-
 def test_the_default_width_is_the_usable_cpus(monkeypatch):
-    monkeypatch.delenv("CHAOS_THREADS", raising=False)
+    # the usable CPUs are those of the process's affinity mask
     for cpus in (1, 3, 64):
-        monkeypatch.setattr(_workers, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        assert chaoscan.max_workers() == cpus
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, cpus in ((5, 5), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
         assert chaoscan.max_workers() == cpus
 
 
-def test_kernel_processes_are_capped_at_the_usable_cpus(monkeypatch):
-    for cpus, widths in ((2, {1: 0, 2: 2, 3: 2, 64: 2}), (1, {1: 0, 2: 0, 8: 0}),
-                         (8, {2: 2, 5: 5, 8: 8, 26: 8})):
-        monkeypatch.setattr(_workers, "_usable_cpus", lambda cpus=cpus: cpus)
-        assert {w: _workers.kernel_processes(w) for w in widths} == widths, cpus
-    monkeypatch.setattr(_k, "NUMBA_ENABLED", True)
-    assert _workers.kernel_processes(8) == 0
-    monkeypatch.setattr(_k, "NUMBA_ENABLED", False)
+def test_a_scan_is_as_wide_as_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(_workers, "_PLAIN", {})  # no kernel workers: this counts threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    barrier = threading.Barrier(3, timeout=10)
+
+    def task():
+        barrier.wait()  # three tasks at a time hold three threads
+        return threading.get_ident()
+
+    assert len(set(_within(60, lambda: chaoscan._run_indexed([task] * 6)))) == 3
+
+
+@fallback_only
+def test_a_scan_forks_one_worker_per_thread_on_the_fallback_only(monkeypatch, forks):
+    tasks = [lambda i=i: i for i in range(3)]
+
+    def forked(threads):
+        _width(monkeypatch, threads)
+        forks.clear()
+        assert _within(60, lambda: chaoscan._run_indexed(tasks)) == [0, 1, 2]
+        _assert_reaped(forks)
+        return len(forks)
+
+    assert [forked(threads) for threads in (1, 2, 3, 8)] == [0, 2, 3, 3]
+    with monkeypatch.context() as m:
+        m.setattr(_workers, "_PLAIN", {})  # as under numba, whose kernels drop the GIL
+        assert forked(2) == 0
     monkeypatch.delattr(os, "fork")
-    assert _workers.kernel_processes(8) == 0
+    assert forked(2) == 0
 
 
-def _bytes_at_widths(tmp_path, monkeypatch, forks, argv):
-    """The artifact and plot bytes of argv at CHAOS_THREADS 1, 2 and 4,
-    which fork no worker, two, and two (one per usable CPU)."""
+def _bytes_at_widths(tmp_path, monkeypatch, forks, argv, cells):
+    """The artifact and plot bytes of argv, a scan of the given number of
+    cells, on 1, 2 and 4 threads, which fork no worker, two, and one per
+    thread the cells fill."""
     written = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the scan threads switch often
     try:
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("CHAOS_THREADS", threads)
+        for threads in (1, 2, 4):
+            _width(monkeypatch, threads)
             forks.clear()
             out, plot = tmp_path / f"{threads}.out", tmp_path / f"{threads}.dat"
             assert _within(60, lambda: main(argv + ["--out", str(out), "--plot-out", str(plot)])) == 0
-            assert len(forks) == {"1": 0, "2": 2, "4": 2}[threads]
+            assert len(forks) == (0 if threads == 1 else min(threads, cells))
             _assert_reaped(forks)
             written.append((out.read_bytes(), plot.read_bytes()))
     finally:
@@ -137,7 +146,7 @@ def _bytes_at_widths(tmp_path, monkeypatch, forks, argv):
 
 @fallback_only
 def test_worker_processes_keep_the_bytes_of_the_float64_rerun(tmp_path, monkeypatch, forks):
-    one, two, four = _bytes_at_widths(tmp_path, monkeypatch, forks, START_OVERFLOWING_MAP)
+    one, two, four = _bytes_at_widths(tmp_path, monkeypatch, forks, START_OVERFLOWING_MAP, 4)
     assert one == two == four
     rows = two[0].decode().splitlines()[2:]
     assert [row.split(",")[3] for row in rows] == ["diverged"] * 4
@@ -149,26 +158,26 @@ def test_worker_processes_fill_the_callers_buffers(tmp_path, monkeypatch, forks)
     argv = ["bifurcation", "--form", "B", "--alpha", "0.1", "--beta", "1", "--gamma", "0.3",
             "--delta", "0.5", "--omega", "2", "--section", "strobo", "--t-end", "30",
             "--dt", "1e-2", "--axis", "gamma", "--lo", "0", "--hi", "1", "--steps", "2"]
-    one, two, four = _bytes_at_widths(tmp_path, monkeypatch, forks, argv)
+    one, two, four = _bytes_at_widths(tmp_path, monkeypatch, forks, argv, 2)
     assert one == two == four
     assert len(two[0].decode().splitlines()) > 10
 
 
 @fallback_only
-def test_four_threads_on_two_cpus_are_two_threads_with_a_worker_each(monkeypatch, forks):
+def test_each_scan_thread_has_a_worker_of_its_own(monkeypatch, forks):
     # the stand-in kernel reports the process it ran in
     monkeypatch.setitem(_workers._PLAIN, "benettin", lambda P: os.getpid())
-    monkeypatch.setenv("CHAOS_THREADS", "4")
-    barrier = threading.Barrier(2, timeout=10)
+    _width(monkeypatch, 4)
+    barrier = threading.Barrier(4, timeout=10)
 
     def task():
-        barrier.wait()  # two tasks at a time hold two threads
+        barrier.wait()  # four tasks at a time hold four threads
         return threading.get_ident(), _k.benettin(None)
 
     seen = _within(60, lambda: chaoscan._run_indexed([task] * 8))
-    assert len(forks) == 2
-    assert len({ident for ident, _ in seen}) == 2
-    assert len(set(seen)) == 2 and os.getpid() not in {pid for _, pid in seen}
+    assert len(forks) == 4
+    assert len({ident for ident, _ in seen}) == 4
+    assert len(set(seen)) == 4 and os.getpid() not in {pid for _, pid in seen}
     assert {pid for _, pid in seen} == set(forks)
     _assert_reaped(forks)
 
@@ -177,7 +186,7 @@ def test_four_threads_on_two_cpus_are_two_threads_with_a_worker_each(monkeypatch
 def test_a_worker_that_exits_mid_call_is_one_error_line(tmp_path, monkeypatch, capsys, forks):
     # the workers are forked after the patch, so each one exits on its first call
     monkeypatch.setitem(_workers._PLAIN, "variational", lambda *args: os._exit(3))
-    monkeypatch.setenv("CHAOS_THREADS", "2")
+    _width(monkeypatch, 2)
     out = tmp_path / "map.csv"
     assert _within(60, lambda: main(SMALL_MAP + ["--out", str(out)])) == 2
     assert len(forks) == 2
@@ -192,7 +201,7 @@ def test_a_worker_raises_the_kernels_error_in_the_caller(monkeypatch, forks):
         raise ZeroDivisionError(f"in the worker, {args}")
 
     monkeypatch.setitem(_workers._PLAIN, "benettin", raising)
-    monkeypatch.setenv("CHAOS_THREADS", "2")
+    _width(monkeypatch, 2)
     tasks = [lambda i=i: (_k.benettin(None, i), "ok") for i in range(2)]
     with pytest.raises(ZeroDivisionError, match=r"in the worker, \(0,\)"):
         _within(60, lambda: chaoscan._run_indexed(tasks))
@@ -204,7 +213,7 @@ def test_a_worker_raises_the_kernels_error_in_the_caller(monkeypatch, forks):
 def test_a_worker_that_never_exits_ends_with_its_scan(monkeypatch, forks):
     # the workers are forked after the patch, so each one sleeps instead of serving
     monkeypatch.setattr(_workers, "serve", lambda conn, inherited: time.sleep(600))
-    monkeypatch.setenv("CHAOS_THREADS", "2")
+    _width(monkeypatch, 2)
     tasks = [lambda i=i: (i, "ok") for i in range(2)]
     assert _within(30, lambda: chaoscan._run_indexed(tasks)) == [(0, "ok"), (1, "ok")]
     assert len(forks) == 2
@@ -219,7 +228,7 @@ def test_a_worker_that_never_exits_ends_with_its_scan(monkeypatch, forks):
      "--dt", "1e-2"],
 ], ids=["simulate", "critical"])
 def test_commands_without_a_scan_fork_nothing(tmp_path, monkeypatch, forks, command):
-    monkeypatch.setenv("CHAOS_THREADS", "2")
+    _width(monkeypatch, 2)
     assert main(command + ["--out", str(tmp_path / "out")]) == 0
     assert forks == []
 
