@@ -257,7 +257,7 @@ def rk4_tangent_step(P, t, x, v, ux, uv, h):
 
 # The divergence test of a start state.  The per-step loops spell it out
 # inline, since a call per step costs the fallback more than the test.
-# isfinite stays because blowup may be inf.
+# isfinite stays because a direct kernel call may still pass blowup = inf.
 @_jit
 def _bad(x, v, blowup):
     return (
@@ -323,10 +323,9 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
     runs left to right from its first term and skips zero weights.  Returns
     ``(status, t, x, v, fail_t)`` with sample arrays trimmed to length.
     """
-    cap = 4096
-    ts = np.empty(cap)
-    xs = np.empty(cap)
-    vs = np.empty(cap)
+    ts = np.empty(4096)
+    xs = np.empty(4096)
+    vs = np.empty(4096)
     t = t0
     x = x0
     v = v0
@@ -383,18 +382,10 @@ def rkf45_trajectory(P, t0, x0, v0, t_end, h0, atol, rtol, sample_every, blowup,
             if abs(x) > blowup or abs(v) > blowup:
                 return DIVERGED, ts[:m], xs[:m], vs[:m], t
             if accepted % sample_every == 0 or t >= t_end:
-                if m == cap:
-                    cap2 = cap * 2
-                    ts2 = np.empty(cap2)
-                    xs2 = np.empty(cap2)
-                    vs2 = np.empty(cap2)
-                    ts2[:cap] = ts
-                    xs2[:cap] = xs
-                    vs2[:cap] = vs
-                    ts = ts2
-                    xs = xs2
-                    vs = vs2
-                    cap = cap2
+                if m == ts.size:  # full: double the buffers
+                    ts = np.concatenate((ts, np.empty(m)))
+                    xs = np.concatenate((xs, np.empty(m)))
+                    vs = np.concatenate((vs, np.empty(m)))
                 ts[m] = t
                 xs[m] = x
                 vs[m] = v

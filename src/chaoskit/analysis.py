@@ -63,16 +63,13 @@ def energy_trace(traj: Trajectory) -> EnergyTrace:
     eps = spec.epsilon.value(t)
     V = 0.5 * (v * v + x * x)
     V_dot_exact = v * a + x * v
-    if spec.form == FORM_B:
-        f = p.delta * np.sin(p.omega * t) * x**p.n
-        V_dot_paper = -p.alpha * v * v - p.gamma * f * v
-        with np.errstate(divide="ignore"):
-            coup = p.gamma + p.beta / t**p.q
-    else:
-        with np.errstate(divide="ignore"):
-            tq = t**p.q
+    with np.errstate(divide="ignore"):
+        tq = t**p.q
+        coup = p.gamma + p.beta / tq
+        if spec.form == FORM_B:
+            V_dot_paper = -p.alpha * v * v - p.gamma * (p.delta * np.sin(p.omega * t) * x**p.n) * v
+        else:
             V_dot_paper = -(p.alpha / tq) * v * v - eps * x * x - p.delta * np.sin(p.omega * x) * v
-            coup = p.gamma + p.beta / tq
     V_reg = 0.5 * v * v + 0.5 * p.beta * x * x + spec.epsilon.integral(t[0], t)
     g_x = spec.nonlinearity.value(x)
     E = 0.5 * (g_x + coup * v) - g_x.min() + 0.5 * eps * x * x + 0.5 * v * v
@@ -200,25 +197,26 @@ def hopf_scan(
             f"at every value in [{lo:g}, {hi:g}] (at_time {at_time:g})"
         ])
     f = [max(l1.real, l2.real) for _, _, l1, l2 in parts]
-    # a sign change between consecutive nonzero grid values is bisected, or,
-    # across a run of exact zeros, is each of those zeros; a zero that the
-    # sign does not change across is no crossing
+    # one sweep, in grid order, over consecutive nonzero grid values: a sign
+    # change between adjacent values is bisected, and one across a run of
+    # exact zeros is each of those zeros; a zero with no sign change is none
     signed = [i for i in range(steps) if f[i] != 0.0]
-    crossings = [float(values[k]) for i, j in zip(signed, signed[1:]) if f[i] * f[j] < 0.0
-                 for k in range(i + 1, j)]
-    for i in range(steps - 1):
-        if f[i] * f[i + 1] < 0.0:
-            a, _, b, _ = bisect_sign(
-                max_real,
-                float(values[i]),
-                f[i],
-                float(values[i + 1]),
-                f[i + 1],
-                resolution,
-                stop_at_zero=True,
-            )
-            crossings.append(0.5 * (a + b))
-    crossings.sort()
+    crossings = []
+    for i, j in zip(signed, signed[1:]):
+        if f[i] * f[j] < 0.0:
+            if j > i + 1:
+                crossings += [float(values[k]) for k in range(i + 1, j)]
+            else:
+                a, _, b, _ = bisect_sign(
+                    max_real,
+                    float(values[i]),
+                    f[i],
+                    float(values[j]),
+                    f[j],
+                    resolution,
+                    stop_at_zero=True,
+                )
+                crossings.append(0.5 * (a + b))
     deduped: list[float] = []
     for c in crossings:
         if not deduped or c - deduped[-1] > resolution:

@@ -273,6 +273,8 @@ class CriticalSet:
     tolerance, and boundary is its midpoint.  Only the two starting
     endpoints are held to |lambda| > 2*NOISE_FLOOR; lam_lo and lam_hi of a
     narrowed bracket come from interior probes and may lie inside that band.
+    A probe whose trajectory escaped holds lambda = inf, here and in lam_lo
+    or lam_hi; the critical artifact writes it as null.
     """
 
     spec: SystemSpec
@@ -305,7 +307,8 @@ def critical_bisect(
     raised; equal signs raise NoBracket.  Only the endpoints are held to that
     band: the exponent goes to zero at the boundary, so interior probes near
     it are expected to fall inside the band, and bisection follows their
-    sign.  A probe whose trajectory escapes counts as unstable; any other
+    sign.  A probe whose trajectory escapes counts as unstable, with lambda
+    = inf, the only non-finite exponent a CriticalSet can hold; any other
     failed probe has no sign and ends the search with its error.
     """
     lam_at = _lambda_probe(initial, cfg, estimator, estimator_kwargs)

@@ -132,7 +132,7 @@ _OUTPUT_FLAGS = (
 )
 _ESTIMATOR_FLAGS = (
     ("--estimator", dict(choices=tuple(_ESTIMATORS), default="variational")),
-    ("--d0", dict(type=float, default=1e-8, help="two-trajectory initial offset")),
+    ("--d0", dict(type=_finite_float(True), default=1e-8, help="two-trajectory initial offset")),
     ("--renorm-interval", dict(type=_finite_float(True), help="time between renormalizations")),
     ("--transient-fraction", dict(type=float, default=0.1)),
 )
@@ -456,14 +456,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         manifest, out, plot_out = manifest_from_args(args)
         execute(manifest, out, plot_out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
+    except ValidationError as exc:  # a ValueError, so before the one-line clause
         for msg in exc.messages:
             print(f"error: {msg}", file=sys.stderr)
         return 1
-    except (InvalidAxis, SectionMismatch, SingularTime, ValueError) as exc:
+    except (_UsageError, InvalidAxis, SectionMismatch, SingularTime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ChaoskitError, OSError, MemoryError) as exc:

@@ -35,7 +35,9 @@ class IntegratorConfig:
     dt is the RK4 grid step and the initial RKF45 step.  Tolerances apply to
     RKF45 only.  sample_every keeps every k-th accepted point (the initial
     and final states are always kept).  A trajectory whose |x| or |v| exceeds
-    blowup_threshold is marked diverged.
+    blowup_threshold, which must be finite and > 0, or turns non-finite is
+    marked diverged; the largest float, 1.7976931348623157e308, leaves only
+    the non-finite test.
     """
 
     method: str = "rk4"
@@ -60,8 +62,8 @@ class IntegratorConfig:
             msgs.append(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if self.sample_every < 1:
             msgs.append(f"sample_every must be >= 1, got {self.sample_every}")
-        if not self.blowup_threshold > 0.0:
-            msgs.append(f"blowup_threshold must be > 0, got {self.blowup_threshold}")
+        if not 0.0 < self.blowup_threshold < math.inf:
+            msgs.append(f"blowup_threshold must be finite and > 0, got {self.blowup_threshold}")
         if msgs:
             raise ValidationError(msgs)
 

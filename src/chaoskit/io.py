@@ -7,6 +7,11 @@ state, integrator settings, and options, which is enough to re-run the
 artifact byte-for-byte.  Floats are written with %.17g so values survive a
 round trip through text.
 
+Manifests, JSON artifacts and .meta.json sidecars are standard JSON (RFC
+8259): a non-finite float in one raises ValueError instead of being written
+as Infinity or NaN.  The critical artifact writes the exponent of an escaped
+probe as null.
+
 Tables are formatted and written a block of ROWS_PER_BLOCK rows at a time.
 A writer whose write raises removes the regular file it truncated before
 the error propagates, so a failed write leaves no artifact that looks whole;
@@ -16,6 +21,7 @@ a FIFO or device given as the path is left alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from contextlib import contextmanager, suppress
@@ -41,7 +47,7 @@ ROWS_PER_BLOCK = 1024
 
 
 def manifest_line(manifest: dict) -> str:
-    return "# " + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    return "# " + json.dumps(manifest, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def read_manifest(path) -> dict:
@@ -162,25 +168,33 @@ def write_lambda_map_csv(path, lmap: LambdaMap, manifest: dict):
     _write_table(path, _csv_head(manifest), columns)
 
 
-def write_json(path, payload: dict, manifest: dict):
-    doc = {"manifest": manifest}
-    doc.update(payload)
+def _write_document(path, doc: dict):
     with _created(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
+def write_json(path, payload: dict, manifest: dict):
+    _write_document(path, {"manifest": manifest, **payload})
+
+
 def critical_payload(crit: CriticalSet) -> dict:
+    """The critical artifact's fields; an escaped probe's exponent, inf in
+    the CriticalSet, is written as null."""
+
+    def lam(value):
+        return value if math.isfinite(value) else None
+
     return {
         "axis": crit.axis,
         "boundary": crit.boundary,
         "lo": crit.lo,
         "hi": crit.hi,
-        "lambda_lo": crit.lam_lo,
-        "lambda_hi": crit.lam_hi,
+        "lambda_lo": lam(crit.lam_lo),
+        "lambda_hi": lam(crit.lam_hi),
         "tolerance": crit.tolerance,
         "estimator": crit.estimator,
-        "probes": [[v, lam] for v, lam in crit.probes],
+        "probes": [[v, lam(value)] for v, value in crit.probes],
     }
 
 
@@ -188,8 +202,4 @@ def emit_plotdata(path, columns: dict, meta: dict):
     """Write a whitespace-separated data file gnuplot can plot directly,
     plus a .meta.json sidecar describing the columns."""
     _write_table(path, "# ", {k: np.asarray(c, dtype=float) for k, c in columns.items()}, sep=" ")
-    sidecar = dict(meta)
-    sidecar["columns"] = list(columns)
-    with _created(str(path) + ".meta.json") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_document(str(path) + ".meta.json", {**meta, "columns": list(columns)})

@@ -335,35 +335,31 @@ def with_param(spec: SystemSpec, name: str, value: float) -> SystemSpec:
     return replace(spec, params=replace(spec.params, **{name: _param_value(name, value)}))
 
 
-# The parameters that enter each form's right-hand side, each with the sum of
-# products it enters multiplied by: it is inert on a system where every
-# product has a factor that is 0, and "1" is always live.  The factor "g" is
-# the restoring force, 0 everywhere for the Zero preset, for k = 0 and for a
-# Sine of w = 0.  A parameter left out, such as q on form B, is always inert.
-_A_FORM = {"alpha": "1", "delta": "1", "omega": "delta"}
+# The parameters that enter each form's right-hand side, each with the products
+# (tuples of factor names) whose sum it enters multiplied by: it is inert on a
+# system where every product has a factor that is 0, and the empty product ()
+# is always live.  The factor "g" is the restoring force, 0 everywhere for the
+# Zero preset, for k = 0 and for a Sine of w = 0.  A parameter left out, such
+# as q on form B, is always inert.
+_LIVE = ((),)
+_A_FORM = {"alpha": _LIVE, "delta": _LIVE, "omega": (("delta",),)}
 LIVE_PARAMS = {
     # beta and gamma enter A1 only inside g(x + coup*v), and q only through
     # alpha/t^q and beta/t^q
-    FORM_A1: {**_A_FORM, "beta": "g", "gamma": "g", "q": "alpha + beta*g"},
-    FORM_A2: {**_A_FORM, "beta": "1", "gamma": "1", "q": "alpha + beta"},
+    FORM_A1: {**_A_FORM, "beta": (("g",),), "gamma": (("g",),), "q": (("alpha",), ("beta", "g"))},
+    FORM_A2: {**_A_FORM, "beta": _LIVE, "gamma": _LIVE, "q": (("alpha",), ("beta",))},
     FORM_B: {
-        "alpha": "1",
-        "beta": "1",
-        "gamma": "delta",
-        "delta": "gamma",
-        "omega": "gamma*delta",
-        "n": "gamma*delta",
+        "alpha": _LIVE,
+        "beta": _LIVE,
+        "gamma": (("delta",),),
+        "delta": (("gamma",),),
+        "omega": (("gamma", "delta"),),
+        "n": (("gamma", "delta"),),
     },
 }
 
 
-def _products(form, name) -> list:
-    return [product.split("*") for product in LIVE_PARAMS[form][name].split(" + ")]
-
-
 def _factor(spec: SystemSpec, name: str) -> float:
-    if name == "1":
-        return 1.0
     if name == "g":
         g = spec.nonlinearity
         return 0.0 if g.variant == "Zero" or (g.variant == "Sine" and g.w == 0.0) else g.k
@@ -374,8 +370,8 @@ def live_params(spec: SystemSpec) -> set:
     """The parameters that enter the dynamics of spec (see LIVE_PARAMS)."""
     return {
         name
-        for name in LIVE_PARAMS[spec.form]
-        if any(all(_factor(spec, f) != 0.0 for f in p) for p in _products(spec.form, name))
+        for name, products in LIVE_PARAMS[spec.form].items()
+        if any(all(_factor(spec, f) != 0.0 for f in p) for p in products)
     }
 
 
@@ -388,7 +384,7 @@ def refuse_inert(name: str, systems) -> None:
     if name not in LIVE_PARAMS[form]:
         why = f"form {form} does not use it"
     else:
-        products = _products(form, name)
+        products = LIVE_PARAMS[form][name]
         zeros = [next(f for f in p if all(_factor(s, f) == 0.0 for s in systems)) for p in products]
         why = (
             f"on form {form} it enters only multiplied by "

@@ -242,6 +242,34 @@ def test_hopf_scan_stops_when_the_bracket_cannot_split(monkeypatch, resolution):
         assert len(crossings) == 1
 
 
+@pytest.mark.parametrize(
+    "lead, hi, resolution, expected",
+    [
+        # +1 -3 adjacent, a zero run across -3 .. +2, +2 -1 adjacent, a zero
+        # that -1 .. -1 does not change sign across, -1 +1 adjacent
+        ([1.0, -3.0, 0.0, 0.0, 2.0, -1.0, 0.0, -1.0, 1.0], 8.0, 1e-6,
+         [0.25, 2.0, 3.0, 4.666666507720947, 7.5]),
+        # a grid of spacing 0.1, finer than the resolution: the zero run and
+        # the two adjacent changes each keep only their first crossing
+        ([1.0, 0.0, 0.0, 0.0, -1.0, 1.0, -1.0, 0.0, -2.0, 0.0, 3.0], 1.0, 0.25,
+         [0.1, 0.45, 0.9]),
+    ],
+    ids=["zero-runs-and-adjacent-changes", "grid-finer-than-resolution"],
+)
+def test_hopf_scan_reports_crossings_in_grid_order(monkeypatch, lead, hi, resolution, expected):
+    # the leading real part is the piecewise-linear interpolant of lead over
+    # the grid, so a bisection probe between grid values is known exactly
+    values = np.linspace(0.0, hi, len(lead))
+
+    def linear_part(spec, at_time):
+        top = float(np.interp(spec.params.alpha, values, lead))
+        return spec.params.alpha, 1.0, complex(top, 0.0), complex(top - 1.0, 0.0)
+
+    monkeypatch.setattr(analysis, "_linear_part", linear_part)
+    crossings = hopf_scan(LINEAR, "alpha", 0.0, hi, steps=len(lead), resolution=resolution)
+    assert crossings == expected
+
+
 def test_hopf_scan_rejects_unknown_axis():
     with pytest.raises(InvalidAxis):
         hopf_scan(LINEAR, "kappa", -1.0, 1.0)

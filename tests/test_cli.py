@@ -62,6 +62,22 @@ def _without_manifest(path):
     return doc
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN (RFC 8259)."""
+    return json.loads(text, parse_constant=_not_json)
+
+
+def strict_manifest(path):
+    """The manifest line of a CSV artifact or the whole JSON artifact,
+    parsed strictly."""
+    text = path.read_text()
+    return strict_json(text.split("\n", 1)[0][2:] if text.startswith("#") else text)
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = run(["simulate", "--form", "B", "--alpha", "0.5", "--beta", "1", "--t-end", "10",
@@ -92,6 +108,8 @@ def test_rerun_from_manifest_reproduces_bytes(tmp_path, command):
     rerun(read_manifest(out), str(again), str(again_plot))
     assert out.read_bytes() == again.read_bytes()
     assert plot.read_bytes() == again_plot.read_bytes()
+    strict_manifest(out)
+    strict_json((tmp_path / "first.dat.meta.json").read_text())
 
 
 # the integrator settings the fixed rk4 grid never read
@@ -304,13 +322,17 @@ def test_collapsed_tangent_vector_exits_two(tmp_path, capsys):
         ([*EVERY_COMMAND["hopf"][0], "--resolution", "inf"], "argument --resolution"),
         (["simulate", *LINEAR, "--method", "rkf45", "--abs-tol", "inf"], "abs_tol"),
         (["simulate", *LINEAR, "--method", "rkf45", "--rel-tol", "inf"], "rel_tol"),
+        (["simulate", *LINEAR, "--blowup-threshold", "inf"], "blowup_threshold"),
+        (["lyapunov", *LINEAR, "--d0", "inf"], "argument --d0"),
+        ([*EVERY_COMMAND["map"][0], "--d0", "nan"], "argument --d0"),
     ],
     ids=["nan-param", "nan-preset", "infinite-map-axis", "infinite-hopf-axis", "infinite-t-end",
          "infinite-renorm-interval", "zero-renorm-interval", "nan-map-renorm-interval",
          "infinite-critical-renorm-interval", "infinite-period", "infinite-phase",
          "infinite-at-time", "nan-at-time", "nan-t0", "infinite-x0", "infinite-v0",
          "infinite-tangent0", "nan-tangent0", "infinite-tol", "infinite-resolution",
-         "infinite-abs-tol", "infinite-rel-tol"],
+         "infinite-abs-tol", "infinite-rel-tol", "infinite-blowup-threshold", "infinite-d0",
+         "nan-map-d0"],
 )
 def test_non_finite_input_exits_one(tmp_path, capsys, args, key):
     # each of these once ran (or died with a traceback) instead of being refused:
@@ -318,8 +340,10 @@ def test_non_finite_input_exits_one(tmp_path, capsys, args, key):
     # --tol, --resolution, --abs-tol or --rel-tol wrote Infinity into the
     # manifest (--tol inf reported the unbisected midpoint as the boundary),
     # an infinite --at-time, --t0, --x0 or
-    # --v0 was named "state field t" (or x, v), and a non-finite --tangent0
-    # was reported as a tangent overflow at the first step
+    # --v0 was named "state field t" (or x, v), a non-finite --tangent0
+    # was reported as a tangent overflow at the first step, and an infinite
+    # --blowup-threshold, or a non-finite --d0 on a variational run (which
+    # never reads it), wrote Infinity or NaN into the manifest
     run_flags = [] if args[0] == "hopf" or "--t-end" in args else ["--t-end", "1", "--dt", "0.1"]
     out = tmp_path / "x.out"
     assert run(args + run_flags + ["--out", str(out)]) == 1
@@ -803,7 +827,8 @@ def test_plot_out_writes_sidecar(tmp_path, command):
     out, plot = tmp_path / "artifact", tmp_path / "plot.dat"
     assert run(argv + ["--out", str(out), "--plot-out", str(plot)]) == 0
     assert plot.read_text().splitlines()[0] == "# " + " ".join(columns)
-    meta = json.loads((tmp_path / "plot.dat.meta.json").read_text())
+    strict_manifest(out)
+    meta = strict_json((tmp_path / "plot.dat.meta.json").read_text())
     assert meta["columns"] == columns
     assert meta["command"] == command
 
@@ -813,6 +838,25 @@ def test_plot_out_writes_sidecar(tmp_path, command):
 CHAOTIC = ["--form", "B", "--alpha", "0.4", "--beta", "64", "--gamma", "1", "--delta", "0.00390625",
            "--omega", "16", "--n", "3", "--epsilon", "Constant", "--epsilon-c", "2048", "--x0", "-32",
            "--t-end", "2.5", "--dt", "6.25e-4"]
+ESCAPING_CRITICAL = ["critical", *CHAOTIC, "--axis", "gamma", "--lo", "0", "--hi", "48",
+                     "--estimator", "two_trajectory"]
+
+
+@pytest.mark.parametrize("tol", ["8", "30"])
+def test_critical_writes_an_escaped_probe_as_null(tmp_path, tol):
+    # the probes at gamma = 48 and 24 escape, and their exponents, inf in
+    # the CriticalSet, were once written as Infinity; at tol 30 the search
+    # stops with the escaped gamma = 24 as its upper end
+    out, again = tmp_path / "c.json", tmp_path / "again.json"
+    assert run(ESCAPING_CRITICAL + ["--tol", tol, "--out", str(out)]) == 0
+    doc = strict_json(out.read_text())
+    assert [lam for v, lam in doc["probes"] if v in (48.0, 24.0)] == [None, None]
+    assert all(lam is not None for v, lam in doc["probes"] if v not in (48.0, 24.0))
+    assert (doc["lambda_hi"] is None) == (tol == "30") and doc["lambda_lo"] < 0.0
+    rerun(str(out), str(again))
+    assert out.read_bytes() == again.read_bytes()
+
+
 # section runs and the sha256 of the artifact each wrote while the section
 # runs still kept their trajectory samples
 SECTION_RUNS = {

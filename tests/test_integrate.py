@@ -6,6 +6,7 @@ x(t) = x0 exp(-alpha t / 2) (cos(nu t) + (alpha / (2 nu)) sin(nu t)),
 nu = sqrt(beta - alpha^2 / 4).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from chaoskit import (
     integrate,
     integrate_with_events,
 )
+from chaoskit.model import run_kernel
 
 LINEAR = SystemSpec(form=FORM_B, params=Params(alpha=0.5, beta=1.0))
 UNDAMPED = SystemSpec(form=FORM_B, params=Params(alpha=0.0, beta=1.0))
@@ -132,6 +134,31 @@ def test_rkf45_step_failure_on_unreachable_tolerance():
     assert traj.status == STEP_FAILURE
 
 
+# sha256 of the t, x and v samples of a 9399-sample rkf45 run, recorded
+# with the fallback kernels on x86-64 Linux
+GROWN_RUN_DIGESTS = (
+    "63f5897a4e792ee5ee96e33d0b12584236c4e444f7eb60515a94666332da30e2",
+    "e90a1e437a9619e7c8f7a930fef94e5ba93d297df21c1a151f47cb2a435b449f",
+    "06461773875e45bad64b3c0605700a683540eb123451d0d96156eb3ccd7df75a",
+)
+
+
+@pytest.mark.skipif(_k.NUMBA_ENABLED, reason="digests are of the fallback kernels' results")
+def test_rkf45_keeps_the_samples_of_grown_buffers():
+    # the kernel starts with 4096-row buffers and doubles them when full, so
+    # this run grows them twice, to 16384 rows
+    spec = SystemSpec(
+        form=FORM_B,
+        params=Params(alpha=0.1, beta=1.0, gamma=0.3, delta=0.5, omega=2.0, n=3),
+        epsilon=EpsilonSchedule.constant(0.05),
+    )
+    status, t, x, v, _ = run_kernel(
+        spec, lambda P: _k.rkf45_trajectory(P, 0.0, 1.0, 0.0, 500.0, 1e-2, 1e-12, 1e-12, 1, 1e8, 1e-14)
+    )
+    assert status == _k.OK and t.size == 9399 and t.base.size == 16384
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (t, x, v)) == GROWN_RUN_DIGESTS
+
+
 def test_dt_must_fit_inside_span():
     with pytest.raises(ValidationError):
         integrate(LINEAR, State(0.0, 1.0, 0.0), IntegratorConfig(method="rk4", dt=2.0, t_end=1.0))
@@ -146,10 +173,11 @@ def test_config_rejects_bad_values():
         IntegratorConfig(method="rk4", dt=1e-3, t_end=1.0, sample_every=0)
 
 
-@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "blowup_threshold"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
 def test_config_refuses_a_tolerance_that_is_not_finite_and_positive(field, value):
-    # an infinite tolerance once ran and wrote Infinity into the manifest
+    # an infinite tolerance or blowup threshold once ran and wrote Infinity
+    # into the manifest
     with pytest.raises(ValidationError, match=f"{field} must be finite and > 0"):
         IntegratorConfig(method="rkf45", dt=1e-3, t_end=1.0, **{field: value})
 
