@@ -13,6 +13,11 @@ and a call that raises where float64 gives inf or nan (``**`` overflow,
 division by zero) reruns on the float64 vector with every float argument
 as a float64 scalar, as compiled code would run it.
 
+``rk4_trajectory``, ``rk4_events_strobo`` and ``rk4_events_vzero`` are
+each one call into ``_rk4_grid``, the one loop over the fixed RK4 grid.
+The exponent estimators ``benettin`` and ``variational`` keep their own
+loops, since the acceptance criteria check them against each other.
+
 Under the fallback the six run kernels (the trajectory, event and exponent
 loops) run in a scan's kernel worker processes when a scan thread calls
 them: ``_workers._run_indexed`` forks one per scan thread when a scan runs
@@ -23,11 +28,11 @@ kernels spend as little of it as they can without changing one
 floating-point operation or its order: the math functions are bare names
 (``sin``, not ``math.sin``), kind codes in the packed spec are compared as
 floats rather than through ``int()``, the regularization term and the
-per-step divergence test are written out inline rather than called, and an
-RK4 step forms ``0.5 * h`` and ``t + 0.5 * h`` once.  Python's ``sin`` and
-``cos`` raise on an infinite argument where compiled code gives nan, so the
-A-form forces give nan themselves when ``a - a == 0.0`` fails (it holds
-only for finite a), again inline.
+per-step divergence test and sample are written out inline rather than
+called, and an RK4 step forms ``0.5 * h`` and ``t + 0.5 * h`` once.
+Python's ``sin`` and ``cos`` raise on an infinite argument where compiled
+code gives nan, so the A-form forces give nan themselves when
+``a - a == 0.0`` fails (it holds only for finite a), again inline.
 
 ``rhs_tangent`` returns the pair (a, da), the acceleration and its
 directional derivative, from terms it forms once (eps; gamma*delta*sin(omega
@@ -268,6 +273,124 @@ def _bad(x, v, blowup):
     )
 
 
+# The event kinds of ``_rk4_grid``.
+NO_EVENTS = 0
+STROBO = 1
+VZERO = 2
+
+
+@_jit
+def _record(ts, xs, vs, i, t, x, v):
+    """Write the state (t, x, v) into row i of three columns; returns i + 1."""
+    ts[i] = t
+    xs[i] = x
+    vs[i] = v
+    return i + 1
+
+
+@_jit
+def _wanted(direction, a):
+    """Whether a velocity zero where v rises (a > 0) or falls (a < 0) is in
+    ``direction``: +1 rising, -1 falling, 0 either."""
+    return direction == 0 or (direction > 0 and a > 0.0) or (direction < 0 and a < 0.0)
+
+
+@_jit
+def _rk4_grid(
+    P, t0, x0, v0, h, n_steps, sample_every, blowup, kind, period, phase, direction,
+    out_t, out_x, out_v, ev_t, ev_x, ev_v,
+):
+    """The fixed-step RK4 run on the uniform grid t0 + i*h, i = 0..n_steps.
+
+    Samples every ``sample_every``-th step plus the final state into
+    out_t/out_x/out_v, and records the events of ``kind`` into ev_t/ev_x/ev_v
+    (the kind becomes two local booleans, so a step tests only those):
+
+    - ``NO_EVENTS`` records none, so the event columns may have length 0.
+      Only ``STROBO`` reads ``period`` and ``phase``, only ``VZERO``
+      ``direction``.
+    - ``STROBO`` records the state at the times phase + k*period, the start
+      among them when it lies within 1e-9 periods of one.  Each event state is
+      reached by a single RK4 substep from the grid point on its left, so
+      event times are exact (no interpolation error in t).
+    - ``VZERO`` records the zero crossings of the velocity in ``direction``
+      (+1 rising, v goes - to +; -1 falling; 0 either).  A candidate time
+      comes from linear interpolation across the bracketing step followed by
+      one secant refinement, clamped to the step; the state there is an RK4
+      substep from the left grid point.  Events closer than one step to the
+      previous one are dropped.  Grid points with v exactly zero, the start
+      among them, count, classified by the acceleration, and are recorded
+      with v = 0.
+
+    Returns ``(status, n_samples, n_events, fail_t)``.
+    """
+    t = t0
+    x = x0
+    v = v0
+    m = _record(out_t, out_x, out_v, 0, t, x, v)
+    if _bad(x, v, blowup):
+        return DIVERGED, m, 0, t
+    strobo = kind == STROBO
+    vzero = kind == VZERO
+    ne = 0
+    k = 0  # the next strobo event is number k, at time te
+    te = t0
+    if strobo:
+        tiny = 1e-9 * period
+        k = int(ceil((t0 - phase) / period - 1e-9))
+        te = phase + k * period
+        if te <= t0 + tiny:
+            if te >= t0 - tiny:
+                ne = _record(ev_t, ev_x, ev_v, ne, te, x, v)
+            k += 1
+            te = phase + k * period
+    last_ev = t0 - 2.0 * h
+    if vzero and v == 0.0 and _wanted(direction, rhs(P, t, x, v)):
+        ne = _record(ev_t, ev_x, ev_v, ne, t, x, 0.0)
+        last_ev = t
+    for i in range(n_steps):
+        tn = t0 + (i + 1) * h
+        if strobo:
+            while te <= tn + 1e-9 * h:
+                xe, ve = rk4_step(P, t, x, v, te - t)
+                ne = _record(ev_t, ev_x, ev_v, ne, te, xe, ve)
+                k += 1
+                te = phase + k * period
+        xn, vn = rk4_step(P, t, x, v, h)
+        if not (isfinite(xn) and isfinite(vn)) or abs(xn) > blowup or abs(vn) > blowup:
+            return DIVERGED, m, ne, tn
+        if vzero:
+            if v * vn < 0.0:
+                if _wanted(direction, -v):  # v rises through 0 iff it was < 0
+                    tau = t + h * v / (v - vn)
+                    xe, ve = rk4_step(P, t, x, v, tau - t)
+                    if ve != v:
+                        tau2 = tau - ve * (tau - t) / (ve - v)
+                    else:
+                        tau2 = tau
+                    if tau2 < t:
+                        tau2 = t
+                    elif tau2 > tn:
+                        tau2 = tn
+                    xe, ve = rk4_step(P, t, x, v, tau2 - t)
+                    if tau2 - last_ev >= h:
+                        ne = _record(ev_t, ev_x, ev_v, ne, tau2, xe, ve)
+                        last_ev = tau2
+            elif vn == 0.0 and v != 0.0:
+                if _wanted(direction, rhs(P, tn, xn, vn)) and tn - last_ev >= h:
+                    ne = _record(ev_t, ev_x, ev_v, ne, tn, xn, 0.0)
+                    last_ev = tn
+        t = tn
+        x = xn
+        v = vn
+        if (i + 1) % sample_every == 0 or i == n_steps - 1:
+            out_t[m] = t
+            out_x[m] = x
+            out_v[m] = v
+            m += 1
+    return OK, m, ne, 0.0
+
+
 @_run
 def rk4_trajectory(P, t0, x0, v0, h, n_steps, sample_every, blowup, out_t, out_x, out_v):
     """Fixed-step RK4 run on the uniform grid t0 + i*h, i = 0..n_steps.
@@ -275,26 +398,12 @@ def rk4_trajectory(P, t0, x0, v0, h, n_steps, sample_every, blowup, out_t, out_x
     Samples every ``sample_every``-th step plus the final state into the
     preallocated output arrays.  Returns ``(status, n_samples, fail_t)``.
     """
-    t = t0
-    x = x0
-    v = v0
-    out_t[0] = t
-    out_x[0] = x
-    out_v[0] = v
-    if _bad(x, v, blowup):
-        return DIVERGED, 1, t
-    m = 1
-    for i in range(n_steps):
-        x, v = rk4_step(P, t, x, v, h)
-        t = t0 + (i + 1) * h
-        if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
-            return DIVERGED, m, t
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            out_t[m] = t
-            out_x[m] = x
-            out_v[m] = v
-            m += 1
-    return OK, m, 0.0
+    none = np.empty(0)
+    status, m, _, fail_t = _rk4_grid(
+        P, t0, x0, v0, h, n_steps, sample_every, blowup, NO_EVENTS, 0.0, 0.0, 0,
+        out_t, out_x, out_v, none, none, none,
+    )
+    return status, m, fail_t
 
 
 # Fehlberg 4(5) tableau (NASA TR R-315, 1969).  Rows of A are padded with
@@ -421,53 +530,14 @@ def rk4_events_strobo(
     ev_x,
     ev_v,
 ):
-    """RK4 run that also records the state at times phase + k*period.
-
-    Each event state is reached by a single RK4 substep from the grid point
-    on its left, so event times are exact (no interpolation error in t).
-    Returns ``(status, n_samples, n_events, fail_t)``.
+    """RK4 run that also records the state at times phase + k*period, as
+    ``_rk4_grid`` records ``STROBO`` events.  Returns
+    ``(status, n_samples, n_events, fail_t)``.
     """
-    t = t0
-    x = x0
-    v = v0
-    out_t[0] = t
-    out_x[0] = x
-    out_v[0] = v
-    if _bad(x, v, blowup):
-        return DIVERGED, 1, 0, t
-    m = 1
-    ne = 0
-    tiny = 1e-9 * period
-    k = int(ceil((t0 - phase) / period - 1e-9))
-    te = phase + k * period
-    if te <= t0 + tiny:
-        if te >= t0 - tiny:
-            ev_t[ne] = te
-            ev_x[ne] = x
-            ev_v[ne] = v
-            ne += 1
-        k += 1
-        te = phase + k * period
-    for i in range(n_steps):
-        t_next = t0 + (i + 1) * h
-        while te <= t_next + 1e-9 * h:
-            xe, ve = rk4_step(P, t, x, v, te - t)
-            ev_t[ne] = te
-            ev_x[ne] = xe
-            ev_v[ne] = ve
-            ne += 1
-            k += 1
-            te = phase + k * period
-        x, v = rk4_step(P, t, x, v, h)
-        t = t_next
-        if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
-            return DIVERGED, m, ne, t
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            out_t[m] = t
-            out_x[m] = x
-            out_v[m] = v
-            m += 1
-    return OK, m, ne, 0.0
+    return _rk4_grid(
+        P, t0, x0, v0, h, n_steps, sample_every, blowup, STROBO, period, phase, 0,
+        out_t, out_x, out_v, ev_t, ev_x, ev_v,
+    )
 
 
 @_run
@@ -488,77 +558,14 @@ def rk4_events_vzero(
     ev_x,
     ev_v,
 ):
-    """RK4 run recording zero crossings of the velocity.
-
-    direction: +1 rising (v goes - to +), -1 falling, 0 either.  A candidate
-    time comes from linear interpolation across the bracketing step followed
-    by one secant refinement; the state there is an RK4 substep from the left
-    grid point.  Events closer than one step to the previous one are dropped.
-    Grid points with v exactly zero count, classified by the acceleration.
+    """RK4 run recording zero crossings of the velocity in ``direction`` (+1
+    rising, -1 falling, 0 either), as ``_rk4_grid`` records ``VZERO`` events.
     Returns ``(status, n_samples, n_events, fail_t)``.
     """
-    t = t0
-    x = x0
-    v = v0
-    out_t[0] = t
-    out_x[0] = x
-    out_v[0] = v
-    if _bad(x, v, blowup):
-        return DIVERGED, 1, 0, t
-    m = 1
-    ne = 0
-    last_ev = t0 - 2.0 * h
-    if v == 0.0:
-        a0 = rhs(P, t, x, v)
-        if direction == 0 or (direction > 0 and a0 > 0.0) or (direction < 0 and a0 < 0.0):
-            ev_t[ne] = t
-            ev_x[ne] = x
-            ev_v[ne] = 0.0
-            ne += 1
-            last_ev = t
-    for i in range(n_steps):
-        t_prev = t
-        x_prev = x
-        v_prev = v
-        x, v = rk4_step(P, t, x, v, h)
-        t = t0 + (i + 1) * h
-        if not (isfinite(x) and isfinite(v)) or abs(x) > blowup or abs(v) > blowup:
-            return DIVERGED, m, ne, t
-        if v_prev * v < 0.0:
-            hit = direction == 0 or (direction > 0 and v_prev < 0.0) or (direction < 0 and v_prev > 0.0)
-            if hit:
-                tau = t_prev + h * v_prev / (v_prev - v)
-                xe, ve = rk4_step(P, t_prev, x_prev, v_prev, tau - t_prev)
-                if ve != v_prev:
-                    tau2 = tau - ve * (tau - t_prev) / (ve - v_prev)
-                else:
-                    tau2 = tau
-                if tau2 < t_prev:
-                    tau2 = t_prev
-                elif tau2 > t:
-                    tau2 = t
-                xe, ve = rk4_step(P, t_prev, x_prev, v_prev, tau2 - t_prev)
-                if tau2 - last_ev >= h:
-                    ev_t[ne] = tau2
-                    ev_x[ne] = xe
-                    ev_v[ne] = ve
-                    ne += 1
-                    last_ev = tau2
-        elif v == 0.0 and v_prev != 0.0:
-            a = rhs(P, t, x, v)
-            hit = direction == 0 or (direction > 0 and a > 0.0) or (direction < 0 and a < 0.0)
-            if hit and t - last_ev >= h:
-                ev_t[ne] = t
-                ev_x[ne] = x
-                ev_v[ne] = 0.0
-                ne += 1
-                last_ev = t
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            out_t[m] = t
-            out_x[m] = x
-            out_v[m] = v
-            m += 1
-    return OK, m, ne, 0.0
+    return _rk4_grid(
+        P, t0, x0, v0, h, n_steps, sample_every, blowup, VZERO, 0.0, 0.0, direction,
+        out_t, out_x, out_v, ev_t, ev_x, ev_v,
+    )
 
 
 @_run

@@ -27,6 +27,7 @@ from .model import (
     Axis,
     State,
     SystemSpec,
+    _check_time,
     accel_array,
     run_kernel,
     tangent_accel,
@@ -99,6 +100,7 @@ def _linear_part(spec: SystemSpec, at_time: float):
     eigenvalue pair, the roots of lam^2 + alpha_eff*lam + beta_eff = 0."""
     if not math.isfinite(at_time):
         raise ValidationError([f"at_time must be finite, got {at_time}"])
+    _check_time(spec, at_time)
     p = spec.params
     if spec.form == FORM_B:
         if p.n == 1 and p.gamma * p.delta != 0.0:
@@ -124,8 +126,8 @@ def linearized_eigen(spec: SystemSpec, at_time: float = 1.0) -> EigenReport:
     the forcing gamma*delta*sin(omega*t)*x is a periodic linear coefficient
     (parametric resonance, which no eigenvalue pair describes), so a system
     with gamma*delta != 0 is refused.  The A forms carry 1/t^q coefficients;
-    they are frozen at ``at_time``, which is refused where a run could not
-    start (SingularTime).
+    they are frozen at ``at_time``.  On every form ``at_time`` is refused
+    where a run could not start (SingularTime).
     """
     validate(spec)
     a_eff, b_eff, l1, l2 = _linear_part(spec, at_time)
@@ -199,11 +201,13 @@ def hopf_scan(
     f = [max(l1.real, l2.real) for _, _, l1, l2 in parts]
     # one sweep, in grid order, over consecutive nonzero grid values: a sign
     # change between adjacent values is bisected, and one across a run of
-    # exact zeros is each of those zeros; a zero with no sign change is none
+    # exact zeros is each of those zeros; a zero with no sign change is none.
+    # Signs are compared, not multiplied: the product of two values below
+    # about 1e-162 in size underflows to -0.0
     signed = [i for i in range(steps) if f[i] != 0.0]
     crossings = []
     for i, j in zip(signed, signed[1:]):
-        if f[i] * f[j] < 0.0:
+        if (f[i] > 0.0) != (f[j] > 0.0):
             if j > i + 1:
                 crossings += [float(values[k]) for k in range(i + 1, j)]
             else:

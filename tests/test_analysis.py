@@ -108,6 +108,21 @@ def test_e_functional_matches_its_definition():
     assert np.all(np.isfinite(tr.E))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [Nonlinearity.zero(), Nonlinearity.linear(1.2), Nonlinearity.cubic(0.8), Nonlinearity.sine(1.5, 0.8)],
+    ids=["Zero", "Linear", "Cubic", "Sine"],
+)
+def test_energy_trace_is_finite_for_every_restoring_force(g):
+    # energy_trace evaluates g through Nonlinearity.value, whose Linear,
+    # Cubic and Sine branches no other energy test reaches
+    spec = replace(REGULARIZED, nonlinearity=g)
+    tr = _trace(spec, t0=1.0, t_end=6.0, dt=1e-2)
+    assert len(tr.t) == 501
+    for column in (tr.t, tr.V, tr.V_dot_exact, tr.V_dot_paper, tr.V_reg, tr.E):
+        assert np.all(np.isfinite(column))
+
+
 def test_energy_requires_completed_run():
     escaping = SystemSpec(form=FORM_B, params=Params(alpha=0.1, beta=1.0, gamma=1.0, delta=1.0, omega=1.0, n=3))
     traj = integrate(escaping, State(0.0, 6.0, 0.0), IntegratorConfig(method="rk4", dt=1e-3, t_end=50.0))
@@ -149,6 +164,20 @@ def test_linearization_refuses_the_start_times_a_run_refuses():
     regular = SystemSpec(form=FORM_A1, params=Params(alpha=0.5, beta=1.0))
     rep = linearized_eigen(regular, at_time=0.0)
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in rep.eigenvalues)
+    # form B has no 1/t^q term, but power-law regularization is singular at
+    # t <= 0 on every form; form B's linearization once froze it there
+    regularized_b = SystemSpec(
+        form=FORM_B, params=Params(alpha=0.5, beta=1.0), epsilon=EpsilonSchedule.power_law(1.0, 2.0)
+    )
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=1.0)
+    for at_time in (0.0, -1.0):
+        with pytest.raises(SingularTime):
+            integrate(regularized_b, State(at_time, 1.0, 0.0), cfg)
+        with pytest.raises(SingularTime):
+            linearized_eigen(regularized_b, at_time=at_time)
+        with pytest.raises(SingularTime):
+            hopf_scan(regularized_b, "alpha", -1.0, 1.0, at_time=at_time)
+    assert linearized_eigen(regularized_b, at_time=1.0).max_real_part == -0.25
 
 
 @pytest.mark.parametrize("spec", [LINEAR, REGULARIZED])
@@ -183,6 +212,14 @@ def test_hopf_scan_finds_the_crossing_at_zero_damping():
     crossings = hopf_scan(spec, "alpha", -1.0, 1.0)
     assert len(crossings) == 1
     assert abs(crossings[0]) <= 1e-6
+
+
+@pytest.mark.parametrize("steps", [2, 41])
+def test_hopf_scan_finds_a_crossing_between_tiny_values(steps):
+    # the leading real parts next to alpha = 0 are about 1e-172 here, and
+    # their product underflows to -0.0: the crossing was once missed
+    spec = SystemSpec(form=FORM_B, params=Params(alpha=0.5, beta=1.0))
+    assert hopf_scan(spec, "alpha", -1e-170, 1e-170, steps=steps) == [0.0]
 
 
 def test_hopf_scan_beta_axis_crossing():
@@ -302,6 +339,13 @@ def test_convergence_trace_shape():
     payload = est.to_dict()
     assert payload["lambda"] == est.lam
     assert payload["method"] == "variational"
+
+
+@pytest.mark.parametrize("estimator", [lyapunov_variational, lyapunov_two_trajectory])
+@pytest.mark.parametrize("fraction", [-0.1, 1.0])
+def test_estimators_refuse_a_transient_fraction_outside_zero_to_one(estimator, fraction):
+    with pytest.raises(ValueError, match=rf"transient_fraction must be in \[0, 1\), got {fraction}"):
+        estimator(LINEAR, INI, CFG, transient_fraction=fraction)
 
 
 def test_transient_fraction_zero_counts_from_start():

@@ -1,6 +1,7 @@
 """Sections, clustering, sweeps, and critical-parameter bisection."""
 
 import math
+import re
 import threading
 import tracemalloc
 
@@ -284,6 +285,36 @@ def test_critical_bisect_refuses_a_tolerance_that_is_not_finite_and_positive(tol
     cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=60.0)
     with pytest.raises(ValidationError, match="tolerance must be finite and > 0"):
         critical_bisect(LINEAR, "alpha", -0.5, 1.0, tol, INI, cfg)
+
+
+ESTIMATORS = "expected one of ['two_trajectory', 'variational']"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: lambda_map(LINEAR, Axis("alpha", 0.3, 0.7, 2), Axis("beta", 0.8, 1.2, 2), INI,
+                            CFG, estimator="lyapunov"),
+         ValueError, f"unknown estimator 'lyapunov'; {ESTIMATORS}"),
+        (lambda: critical_bisect(LINEAR, "alpha", -0.5, 1.0, 1e-2, INI, CFG, estimator="lyapunov"),
+         ValueError, f"unknown estimator 'lyapunov'; {ESTIMATORS}"),
+        (lambda: critical_bisect(LINEAR, "alpha", 1.0, -0.5, 1e-2, INI, CFG),
+         ValidationError, "need hi > lo, got [1.0, -0.5]"),
+        (lambda: critical_bisect(LINEAR, "alpha", 0.5, 0.5, 1e-2, INI, CFG),
+         ValidationError, "need hi > lo, got [0.5, 0.5]"),
+        (lambda: cluster_count(np.zeros(4)), ValueError, "points must be an (n, 2) array"),
+        (lambda: cluster_count(np.zeros((4, 3))), ValueError, "points must be an (n, 2) array"),
+        (lambda: poincare(LINEAR, INI, CFG, VelocityZeroCrossing(), transient_fraction=1.0),
+         ValueError, "transient_fraction must be in [0, 1), got 1.0"),
+        (lambda: poincare(LINEAR, INI, CFG, VelocityZeroCrossing(), transient_fraction=-0.1),
+         ValueError, "transient_fraction must be in [0, 1), got -0.1"),
+    ],
+    ids=["map-estimator", "critical-estimator", "critical-reversed", "critical-empty",
+         "cluster-1d", "cluster-3-columns", "poincare-transient-1", "poincare-transient-negative"],
+)
+def test_scan_refusals_name_the_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_a_strobo_sweep_refuses_an_omega_axis_before_any_cell(monkeypatch):

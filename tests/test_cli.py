@@ -416,6 +416,16 @@ def test_hopf_crossing_json(tmp_path):
     assert abs(doc["crossings"][0]) <= 1e-6
 
 
+def test_hopf_crossing_json_between_tiny_values(tmp_path):
+    # this once wrote no crossing: the product of the two leading real
+    # parts, about -2.5e-341, underflows to -0.0
+    out = tmp_path / "hopf.json"
+    code = run(["hopf", "--form", "B", "--alpha", "0.5", "--beta", "1", "--axis", "alpha",
+                "--lo=-1e-170", "--hi", "1e-170", "--steps", "2", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["crossings"] == [0.0]
+
+
 @pytest.mark.parametrize("argv", [
     # beta_eff = 0, so the eigenvalues are 0 and -alpha_eff: the leading real
     # part is positive for alpha < 0 and 0 for alpha >= 0
@@ -517,6 +527,21 @@ def test_usage_failure_exits_one(tmp_path):
             out = tmp_path / f"{command}{flag}"
             assert run(EVERY_COMMAND[command][0] + [flag, value, "--out", str(out)]) == 1
             assert not out.exists()
+
+
+@pytest.mark.parametrize("system", [
+    ["--form", "B", "--alpha", "0.5", "--beta", "1", "--epsilon", "PowerLaw"],
+    ["--form", "A1", "--alpha", "0.5", "--beta", "1", "--q", "1"],
+], ids=["B-power-law", "A1-q"])
+def test_hopf_at_a_singular_time_exits_one(tmp_path, capsys, system):
+    # form B once froze its power-law regularization at t = 0 and exited 0
+    out = tmp_path / "hopf.json"
+    code = run(["hopf", *system, "--at-time", "0", "--axis", "alpha", "--lo", "-1", "--hi", "1",
+                "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "singular at t = 0" in err[0]
+    assert not out.exists()
 
 
 def test_map_through_a_singular_start_exits_one(tmp_path, capsys):

@@ -8,9 +8,11 @@ nu = sqrt(beta - alpha^2 / 4).
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
+from test_kernel_digests import SYSTEMS
 
 from chaoskit import _kernels as _k
 from chaoskit import (
@@ -247,6 +249,29 @@ def test_a_period_below_the_spacing_of_the_times_is_refused():
         integrate_with_events(FORCED, start, cfg, Stroboscopic(period=0.1))
     _, ev = integrate_with_events(FORCED, start, cfg, Stroboscopic(period=2.5))
     assert len(ev) == 81
+
+
+@pytest.mark.parametrize("sample_every", [1, 7])
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_the_fixed_step_kernels_give_one_trajectory(system, sample_every):
+    # rk4_trajectory and both section kernels run one grid loop: recording
+    # events must not move a sample's bytes or where a run ends
+    spec, (t0, x0, v0), blowup = SYSTEMS[system]
+    cfg = IntegratorConfig(
+        method="rk4",
+        dt=0.01,
+        t_end=t0 + 15.0,
+        sample_every=sample_every,
+        blowup_threshold=min(blowup, sys.float_info.max),  # a config takes a finite threshold
+    )
+    plain = integrate(spec, State(t0, x0, v0), cfg)
+    assert (plain.status == DIVERGED) == (system == "B-escape")
+    for section in (Stroboscopic(period=0.7), VelocityZeroCrossing()):
+        traj, _ = integrate_with_events(spec, State(t0, x0, v0), cfg, section)
+        assert [a.tobytes() for a in (traj.t, traj.x, traj.v)] == [
+            a.tobytes() for a in (plain.t, plain.x, plain.v)
+        ]
+        assert (traj.status, traj.status_time) == (plain.status, plain.status_time)
 
 
 def test_velocity_zero_crossings_on_undamped_oscillator():

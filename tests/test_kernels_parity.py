@@ -1,11 +1,11 @@
 """The pure-Python fallback must match the compiled kernels.
 
 Runs the same workload in a subprocess with CHAOS_NO_NUMBA=1 and compares
-end states, event times, and exponent estimates against the in-process
-(possibly compiled) results.  The first run must report the compiled kernels
-exactly when numba is importable; where it is not, both runs use the
-fallback and the test says so in a warning, since the comparison then
-checks the fallback against itself.
+end states, stroboscopic and velocity-zero events, and exponent estimates
+against the in-process (possibly compiled) results.  The first run must
+report the compiled kernels exactly when numba is importable; where it is
+not, both runs use the fallback and the test says so in a warning, since
+the comparison then checks the fallback against itself.
 """
 
 import importlib.util
@@ -34,6 +34,9 @@ rkf = integrate(spec, ini, IntegratorConfig(method="rkf45", dt=1e-3, t_end=20.0)
 _, ev = integrate_with_events(
     spec, ini, IntegratorConfig(method="rk4", dt=1e-3, t_end=20.0), Stroboscopic(period=math.pi)
 )
+_, vz = integrate_with_events(
+    spec, ini, IntegratorConfig(method="rk4", dt=1e-3, t_end=20.0), VelocityZeroCrossing()
+)
 var = lyapunov_variational(spec, ini, IntegratorConfig(method="rk4", dt=1e-2, t_end=100.0))
 two = lyapunov_two_trajectory(spec, ini, IntegratorConfig(method="rk4", dt=1e-2, t_end=100.0))
 print(json.dumps({
@@ -42,6 +45,7 @@ print(json.dumps({
     "rk4_end": [rk4.x[-1], rk4.v[-1]],
     "rkf_end": [rkf.x[-1], rkf.v[-1], len(rkf.t)],
     "events": [list(ev.t), list(ev.x)],
+    "vzero": [list(vz.t), list(vz.x)],
     "lam": [var.lam, two.lam],
 }))
 """
@@ -68,6 +72,10 @@ def test_fallback_matches_compiled_kernels():
     assert compiled["rkf_end"][2] == fallback["rkf_end"][2]  # same accepted-step count
     assert compiled["events"][0] == fallback["events"][0]  # strobo times are exact
     assert compiled["events"][1] == pytest.approx(fallback["events"][1], rel=1e-12, abs=1e-14)
+    # velocity-zero times are interpolated and refined from the grid states
+    assert len(compiled["vzero"][0]) == len(fallback["vzero"][0]) > 0
+    assert compiled["vzero"][0] == pytest.approx(fallback["vzero"][0], rel=1e-12, abs=1e-14)
+    assert compiled["vzero"][1] == pytest.approx(fallback["vzero"][1], rel=1e-12, abs=1e-14)
     # variational tangents track the reference bitwise; the two-trajectory
     # companion magnifies last-bit differences through the log sum
     assert compiled["lam"][0] == pytest.approx(fallback["lam"][0], rel=1e-12, abs=1e-14)

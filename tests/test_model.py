@@ -353,7 +353,33 @@ def test_validate_collects_all_violations():
     )
     with pytest.raises(ValidationError) as err:
         validate(bad)
-    assert len(err.value.messages) >= 3  # alpha, gamma, omega each reported
+    assert err.value.messages == [
+        "alpha must be >= 0, got -1.0",
+        "gamma must be >= 0, got -0.5",
+        "omega must be > 0 when delta != 0, got 0.0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, theorem_mode, message",
+    [
+        (SystemSpec(form=FORM_B, params=Params(beta=-1.0)), False, "beta must be >= 0, got -1.0"),
+        (SystemSpec(form=FORM_A1, params=Params(q=-0.5)), False, "q must be >= 0, got -0.5"),
+        (SystemSpec(form=FORM_B, params=Params(n=0)), False, "n must be an integer >= 1, got 0"),
+        (SystemSpec(form=FORM_B, params=Params(n=1)), True, "the decay guarantee needs n >= 2, got 1"),
+        (SystemSpec(form=FORM_B, epsilon=EpsilonSchedule.constant(-0.1)), False,
+         "constant regularization must be >= 0, got -0.1"),
+        (SystemSpec(form=FORM_A2, epsilon=EpsilonSchedule.power_law(0.0, 2.0)), False,
+         "power-law regularization needs c > 0, got 0.0"),
+        (SystemSpec(form=FORM_A2, epsilon=EpsilonSchedule.power_law(1.0, -1.0)), False,
+         "power-law regularization needs p >= 0, got -1.0"),
+    ],
+    ids=["beta", "q", "n", "theorem-n", "constant", "power-law-c", "power-law-p"],
+)
+def test_validate_names_each_violation(spec, theorem_mode, message):
+    with pytest.raises(ValidationError) as err:
+        validate(spec, theorem_mode=theorem_mode)
+    assert err.value.messages == [message]
 
 
 def test_validate_form_b_requires_zero_preset():
@@ -411,6 +437,31 @@ def test_fractional_power_of_a_negative_time_is_not_finite(spec):
         accel(spec, s)
     with pytest.raises(NonFinite):
         tangent_accel(spec, s, (1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "g, max_ulp",
+    [
+        (Nonlinearity.zero(), 0),
+        (Nonlinearity.linear(1.7), 0),
+        # k * u**3 here, k*u*u*u in the kernel: 2 ulp apart at worst on these points
+        (Nonlinearity.cubic(-2.3), 2),
+        # numpy's sin against the C library's; equal on x86-64 Linux, where
+        # this was measured, but a numpy build may use its own routine
+        (Nonlinearity.sine(1.5, 0.8), 2),
+    ],
+    ids=["Zero", "Linear", "Cubic", "Sine"],
+)
+def test_nonlinearity_value_matches_the_kernel(g, max_ulp):
+    # energy_trace takes g from Nonlinearity.value, a run from _kernels.g_value
+    spec = SystemSpec(form=FORM_A2, params=Params(alpha=0.5, beta=1.0), nonlinearity=g)
+    rng = np.random.default_rng(7)
+    spread = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-3.0, 3.0, 1000)
+    u = np.concatenate([np.linspace(-10.0, 10.0, 2001), spread])
+    kernel = np.array([run_kernel(spec, _k.g_value, x) for x in u.tolist()])
+    value = np.broadcast_to(g.value(u), u.shape)
+    ulps = np.abs(kernel - value) / np.spacing(np.maximum(np.abs(kernel), np.abs(value)))
+    assert ulps.max() <= max_ulp
 
 
 def test_pack_spec_layout():
