@@ -360,7 +360,9 @@ def _rk4_grid(
         if not (isfinite(xn) and isfinite(vn)) or abs(xn) > blowup or abs(vn) > blowup:
             return DIVERGED, m, ne, tn
         if vzero:
-            if v * vn < 0.0:
+            # compare signs: the product of two velocities below about
+            # 1e-162 underflows to zero and would hide their crossing
+            if v < 0.0 < vn or vn < 0.0 < v:
                 if _wanted(direction, -v):  # v rises through 0 iff it was < 0
                     tau = t + h * v / (v - vn)
                     xe, ve = rk4_step(P, t, x, v, tau - t)

@@ -54,26 +54,71 @@ class EnergyTrace:
 
 
 def energy_trace(traj: Trajectory) -> EnergyTrace:
-    """Evaluate the energy functionals on a completed trajectory."""
+    """Evaluate the energy functionals on a completed trajectory.
+
+    At its peak this holds the trajectory, the five columns and two more
+    sample-length arrays: each column is built in place in an array it
+    owns, and the intermediates a, eps, tq, coup and g_x are made in that
+    order and dropped at their last use.  Each column keeps the bits of its
+    formula as written: nothing is re-associated, and operands swap only
+    with a scalar (``0.5 * s`` as ``s *= 0.5``): of two nans, the first
+    gives the payload.
+    """
     if traj.status != COMPLETED:
         raise ValueError(f"energy trace requires a completed trajectory, got {traj.status!r}")
     spec = traj.spec
     p = spec.params
     t, x, v = traj.t, traj.x, traj.v
     a = accel_array(spec, t, x, v)
+    V_dot_exact = np.multiply(v, a, out=a)  # v*a + x*v
+    V_dot_exact += x * v
+    V = v * v  # 0.5*(v*v + x*x)
+    V += x * x
+    V *= 0.5
     eps = spec.epsilon.value(t)
-    V = 0.5 * (v * v + x * x)
-    V_dot_exact = v * a + x * v
     with np.errstate(divide="ignore"):
         tq = t**p.q
-        coup = p.gamma + p.beta / tq
+        # -alpha*v*v - gamma*(delta*sin(omega*t)*x**n)*v on form B,
+        # -(alpha/tq)*v*v - eps*x*x - delta*sin(omega*x)*v on the A forms
+        V_dot_paper = np.full_like(t, -p.alpha) if spec.form == FORM_B else -(p.alpha / tq)
+        coup = np.divide(p.beta, tq, out=tq)  # gamma + beta/tq
+        coup += p.gamma
+        V_dot_paper *= v
+        V_dot_paper *= v
         if spec.form == FORM_B:
-            V_dot_paper = -p.alpha * v * v - p.gamma * (p.delta * np.sin(p.omega * t) * x**p.n) * v
+            s = p.omega * t
+            np.sin(s, out=s)
+            s *= p.delta
+            s *= x**p.n
+            s *= p.gamma
         else:
-            V_dot_paper = -(p.alpha / tq) * v * v - eps * x * x - p.delta * np.sin(p.omega * x) * v
-    V_reg = 0.5 * v * v + 0.5 * p.beta * x * x + spec.epsilon.integral(t[0], t)
+            s = eps * x
+            s *= x
+            V_dot_paper -= s
+            np.multiply(p.omega, x, out=s)
+            np.sin(s, out=s)
+            s *= p.delta
+        s *= v
+        V_dot_paper -= s
+        del s
+    # E = 0.5*(g_x + coup*v) - min(g_x) + 0.5*eps*x*x + 0.5*v*v, in the buffer of coup
     g_x = spec.nonlinearity.value(x)
-    E = 0.5 * (g_x + coup * v) - g_x.min() + 0.5 * eps * x * x + 0.5 * v * v
+    E = np.multiply(coup, v, out=coup)
+    np.add(g_x, E, out=E)
+    E *= 0.5
+    E -= g_x.min()
+    del g_x
+    np.multiply(0.5, eps, out=eps)
+    eps *= x
+    eps *= x
+    E += eps
+    del eps
+    # V_reg = 0.5*v*v + 0.5*beta*x*x + the integral of eps, from E's last term
+    V_reg = 0.5 * v
+    V_reg *= v
+    E += V_reg
+    V_reg += 0.5 * p.beta * x * x
+    V_reg += spec.epsilon.integral(t[0], t)
     return EnergyTrace(spec, t, V, V_dot_exact, V_dot_paper, V_reg, E)
 
 

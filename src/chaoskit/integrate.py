@@ -202,10 +202,24 @@ def _buffers(size):
     return np.empty(size), np.empty(size), np.empty(size)
 
 
+def _sample_buffers(n, sample_every):
+    """Sample buffers of an n-step fixed-grid run: the 1 + ceil(n/sample_every)
+    rows that a completed run writes."""
+    return _buffers(1 + -(-n // sample_every))
+
+
 def _trajectory(spec, cfg, status, fail_t, t, x, v, m=None):
-    """Trajectory from kernel output: the first m samples (all by default),
-    with a completed run's last time snapped exactly onto t_end."""
-    t, x, v = t[:m].copy(), x[:m].copy(), v[:m].copy()
+    """Trajectory from kernel output, with a completed run's last time
+    snapped exactly onto t_end.
+
+    A run that filled its sample buffers (a completed rk4 run) keeps them
+    as they are, so ``simulate`` holds its samples once and, at its peak,
+    only the writer's block besides.  The first m rows are copied out only
+    where they are part of larger buffers: a run that stopped early, or
+    rkf45's (m None), which double as they fill.
+    """
+    if m is None or m < t.size:
+        t, x, v = t[:m].copy(), x[:m].copy(), v[:m].copy()
     if status == _k.OK:
         t[-1] = cfg.t_end
     return Trajectory(
@@ -228,7 +242,7 @@ def integrate(spec: SystemSpec, initial: State, cfg: IntegratorConfig) -> Trajec
     n, h = checked_run(spec, initial, cfg)
     t0, x0, v0 = initial.t, initial.x, initial.v
     if cfg.method == "rk4":
-        out = _buffers(n // cfg.sample_every + 3)
+        out = _sample_buffers(n, cfg.sample_every)
         status, m, fail_t = run_kernel(
             spec, _k.rk4_trajectory, t0, x0, v0, h, n, cfg.sample_every, cfg.blowup_threshold, *out
         )
@@ -264,7 +278,7 @@ def integrate_with_events(
     if not isinstance(event, (Stroboscopic, VelocityZeroCrossing)):
         raise TypeError(f"unsupported event type {type(event).__name__}")
     kernel, event_args, ne_cap = event.event_run(initial.t, cfg.t_end, n)
-    out = _buffers(n // cfg.sample_every + 3)
+    out = _sample_buffers(n, cfg.sample_every)
     ev_t, ev_x, ev_v = _buffers(ne_cap)
     status, m, ne, fail_t = run_kernel(
         spec,

@@ -6,10 +6,12 @@ exponent estimators must reproduce -alpha/2 on the damped linear system.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_fallback_floats import OVERFLOW, OVERFLOW_START
 
 from chaoskit import _kernels as _k
 from chaoskit import analysis
@@ -28,6 +30,7 @@ from chaoskit import (
     State,
     SystemSpec,
     ValidationError,
+    accel_array,
     energy_trace,
     hopf_scan,
     integrate,
@@ -128,6 +131,108 @@ def test_energy_requires_completed_run():
     traj = integrate(escaping, State(0.0, 6.0, 0.0), IntegratorConfig(method="rk4", dt=1e-3, t_end=50.0))
     with pytest.raises(ValueError):
         energy_trace(traj)
+
+
+def _energy_trace_reference(traj):
+    """The columns (t, V, V_dot_exact, V_dot_paper, V_reg, E) as energy_trace
+    computed them with one full-length temporary per operation: the bits
+    the in-place evaluation must keep."""
+    spec = traj.spec
+    p = spec.params
+    t, x, v = traj.t, traj.x, traj.v
+    a = accel_array(spec, t, x, v)
+    eps = spec.epsilon.value(t)
+    V = 0.5 * (v * v + x * x)
+    V_dot_exact = v * a + x * v
+    with np.errstate(divide="ignore"):
+        tq = t**p.q
+        coup = p.gamma + p.beta / tq
+        if spec.form == FORM_B:
+            V_dot_paper = -p.alpha * v * v - p.gamma * (p.delta * np.sin(p.omega * t) * x**p.n) * v
+        else:
+            V_dot_paper = -(p.alpha / tq) * v * v - eps * x * x - p.delta * np.sin(p.omega * x) * v
+    V_reg = 0.5 * v * v + 0.5 * p.beta * x * x + spec.epsilon.integral(t[0], t)
+    g_x = spec.nonlinearity.value(x)
+    E = 0.5 * (g_x + coup * v) - g_x.min() + 0.5 * eps * x * x + 0.5 * v * v
+    return t, V, V_dot_exact, V_dot_paper, V_reg, E
+
+
+_GS = {
+    "Zero": Nonlinearity.zero(),
+    "Linear": Nonlinearity.linear(1.2),
+    "Cubic": Nonlinearity.cubic(0.8),
+    "Sine": Nonlinearity.sine(1.5, 0.8),
+}
+_EPSS = {
+    "Zero": EpsilonSchedule.zero(),
+    "Constant": EpsilonSchedule.constant(0.3),
+    "PowerLaw": EpsilonSchedule.power_law(0.6, 2.5),
+    "PowerLaw1": EpsilonSchedule.power_law(0.6, 1.0),  # the log integral
+}
+_A_PARAMS = Params(alpha=0.5, beta=0.4, gamma=0.3, delta=0.2, omega=1.5, q=0.5)
+_BIT_RUN = (State(1.0, 1.0, -0.3), IntegratorConfig(method="rk4", dt=1e-2, t_end=4.0))
+_BIT_CASES = {
+    f"{form}-{g}-{eps}": (
+        SystemSpec(
+            form=form,
+            params=FULL_B.params if form == FORM_B else _A_PARAMS,
+            nonlinearity=_GS[g],
+            epsilon=_EPSS[eps],
+        ),
+        *_BIT_RUN,
+    )
+    for form in (FORM_A1, FORM_A2, FORM_B)
+    for g in (_GS if form != FORM_B else ["Zero"])
+    for eps in _EPSS
+}
+_BIT_CASES["overflow"] = (OVERFLOW, OVERFLOW_START, IntegratorConfig(dt=1e-2, t_end=2.0))
+_NON_FINITE = ("overflow", "A1-Cubic-PowerLaw", "B-Zero-Constant")
+
+
+def _non_finite(traj):
+    """traj with inf, -inf and nan samples, two of them nan with a payload."""
+    x, v = traj.x.copy(), traj.v.copy()
+    payload = np.array([0x7FF8_0000_0000_0ABC], dtype=np.uint64).view(np.float64)[0]
+    x[[3, 7, 11]] = np.inf, np.nan, payload
+    v[[5, 7, 13]] = -np.inf, -np.nan, -payload
+    return replace(traj, x=x, v=v)
+
+
+@pytest.mark.parametrize(
+    "case, non_finite",
+    [pytest.param(case, False, id=case) for case in _BIT_CASES]
+    + [pytest.param(case, True, id=f"{case}-non-finite") for case in _NON_FINITE],
+)
+def test_energy_columns_keep_the_bits_of_their_formulas(case, non_finite):
+    # every form, g and eps preset, and inf/nan samples whose nan payloads
+    # count: nothing may be re-associated, and operands may swap only with
+    # a scalar, since of two nans the first gives the payload
+    traj = integrate(*_BIT_CASES[case])
+    assert traj.status == "completed"
+    if non_finite:
+        traj = _non_finite(traj)
+    with np.errstate(all="ignore"):  # the non-finite samples overflow and give nan
+        want = _energy_trace_reference(traj)
+        tr = energy_trace(traj)
+    got = (tr.t, tr.V, tr.V_dot_exact, tr.V_dot_paper, tr.V_reg, tr.E)
+    names = ("t", "V", "V_dot_exact", "V_dot_paper", "V_reg", "E")
+    assert [n for n, a, b in zip(names, got, want) if a.tobytes() != b.tobytes()] == []
+
+
+@pytest.mark.parametrize("spec", [FULL_B, replace(REGULARIZED, nonlinearity=_GS["Cubic"])], ids=["B", "A2"])
+def test_energy_trace_holds_its_columns_and_two_more(spec):
+    # at its peak: the trajectory, the five new columns and two sample-length
+    # temporaries (one per operation of the formulas held twelve at once)
+    traj = integrate(spec, State(1.0, 1.0, 0.0), IntegratorConfig(method="rk4", dt=1e-2, t_end=21.0))
+    row = traj.t.nbytes
+    assert len(traj) == 2001
+    tracemalloc.start()  # after the run: tracing slows the fallback's kernels
+    try:
+        energy_trace(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * row + peak <= (3 + 5 + 2) * row + row // 2
 
 
 def test_eigenvalues_satisfy_characteristic_polynomial():

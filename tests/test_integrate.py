@@ -33,6 +33,7 @@ from chaoskit import (
     integrate,
     integrate_with_events,
 )
+from chaoskit.integrate import grid_steps
 from chaoskit.model import run_kernel
 
 LINEAR = SystemSpec(form=FORM_B, params=Params(alpha=0.5, beta=1.0))
@@ -274,6 +275,60 @@ def test_the_fixed_step_kernels_give_one_trajectory(system, sample_every):
         assert (traj.status, traj.status_time) == (plain.status, plain.status_time)
 
 
+def _spy(monkeypatch, name):
+    """Record the ndarray arguments and the result of each call of the kernel."""
+    calls = []
+    kernel = getattr(_k, name)
+
+    def spy(P, *args):
+        result = kernel(P, *args)
+        calls.append(([a for a in args if isinstance(a, np.ndarray)], result))
+        return result
+
+    monkeypatch.setattr(_k, name, spy)
+    return calls
+
+
+_FIXED_STEP_RUNS = {
+    "rk4_trajectory": integrate,
+    "rk4_events_strobo": lambda spec, start, cfg: integrate_with_events(
+        spec, start, cfg, Stroboscopic(period=0.7)
+    )[0],
+    "rk4_events_vzero": lambda spec, start, cfg: integrate_with_events(
+        spec, start, cfg, VelocityZeroCrossing()
+    )[0],
+}
+
+
+@pytest.mark.parametrize("kernel", list(_FIXED_STEP_RUNS))
+@pytest.mark.parametrize(
+    "n, sample_every", [(2, 1), (10, 3), (10, 5), (10, 7), (97, 10), (2000, 1), (2000, 7), (5, 5000)]
+)
+def test_a_completed_run_keeps_its_kernel_buffers(monkeypatch, kernel, n, sample_every):
+    # the buffers hold the 1 + ceil(n/sample_every) samples a completed run
+    # writes, and the trajectory is those buffers, with no trimmed copy
+    cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=n * 0.01, sample_every=sample_every)
+    assert grid_steps(0.0, cfg.t_end, cfg.dt)[0] == n
+    calls = _spy(monkeypatch, kernel)
+    traj = _FIXED_STEP_RUNS[kernel](LINEAR, State(0.0, 1.0, 0.0), cfg)
+    (buffers, result), = calls
+    assert traj.status == COMPLETED and traj.t[-1] == cfg.t_end
+    assert len(traj) == result[1] == buffers[0].size == 1 + math.ceil(n / sample_every)
+    assert all(column is buffer for column, buffer in zip((traj.t, traj.x, traj.v), buffers))
+
+
+@pytest.mark.parametrize("kernel", list(_FIXED_STEP_RUNS))
+def test_a_diverged_run_is_trimmed_to_its_samples(monkeypatch, kernel):
+    calls = _spy(monkeypatch, kernel)
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=50.0)
+    traj = _FIXED_STEP_RUNS[kernel](ESCAPING, State(0.0, 6.0, 0.0), cfg)
+    (buffers, result), = calls
+    m = result[1]
+    assert traj.status == DIVERGED and 1 < m == len(traj) < buffers[0].size
+    for column, buffer in zip((traj.t, traj.x, traj.v), buffers):
+        assert column.base is None and column.tobytes() == buffer[:m].tobytes()
+
+
 def test_velocity_zero_crossings_on_undamped_oscillator():
     # from (1, 0) the velocity vanishes at integer multiples of pi
     cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=20.0)
@@ -282,6 +337,14 @@ def test_velocity_zero_crossings_on_undamped_oscillator():
     assert np.allclose(ev.t, np.arange(7) * math.pi, rtol=0, atol=1e-6)
     assert np.max(np.abs(ev.v)) < 1e-8
     assert np.all(np.diff(ev.t) > 0)
+
+
+def test_velocity_zero_crossings_between_tiny_velocities():
+    # from x0 = 1e-170 the product of two velocities underflows to zero, so
+    # only their signs can show a crossing
+    cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=10.0)
+    _, ev = integrate_with_events(UNDAMPED, State(0.0, 1e-170, 0.0), cfg, VelocityZeroCrossing())
+    assert np.allclose(ev.t, np.arange(4) * math.pi, rtol=0, atol=1e-6)  # t = 0, pi, 2 pi, 3 pi
 
 
 def test_velocity_crossing_direction_filter():
