@@ -3,10 +3,10 @@ and bisection onto the stability boundary.
 
 Every grid scan runs its cells one way: ``_scan`` sets each grid point's
 axis values on the system, refuses an axis that enters the dynamics at no
-grid point, and hands the cells to ``_run_indexed``, which runs them at once,
-``max_workers()`` wide (the CPUs in the process's affinity mask, at most one
-per cell), and returns the results by cell index, so output is independent
-of the scan's width and evaluation order.  Both come from
+grid point, and hands the cells to ``_run_indexed``, which runs them on
+``max_workers()`` plain threads (the CPUs in the process's affinity mask, at
+most one per cell), and returns the results by cell index, so output is
+independent of the scan's width and evaluation order.  Both come from
 ``_workers``; ``_scan`` looks ``_run_indexed`` up here, so that a caller
 can replace it.  Critical bisection probes one system at a time, in
 process.  Exponents within ``NOISE_FLOOR`` of zero are reported as
@@ -128,18 +128,19 @@ def cluster_count(points: np.ndarray, radius: float = CLUSTER_RADIUS) -> int:
     """Number of single-linkage clusters at the given merge radius.
 
     Two points are linked when their squared distance is <= radius**2, and
-    the clusters are the connected components of those links.  Exact
-    duplicates are collapsed first; a sweep over the points sorted by x then
-    compares each point only with the later points whose x lies within
-    2*radius of its own.  The window is wider than the links need so that
-    rounding in x + radius cannot drop a link.
+    the clusters are the connected components of those links.  The points
+    are sorted by x, then y, and each one equal to the one before it is
+    dropped; a sweep then compares each point only with the later points
+    whose x lies within 2*radius of its own.  The window is wider than the
+    links need so that rounding in x + radius cannot drop a link.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
     if len(pts) == 0:
         return 0
-    pts = np.unique(pts, axis=0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.insert(np.any(pts[1:] != pts[:-1], axis=1), 0, True)]
     n = len(pts)
     parent = list(range(n))
 

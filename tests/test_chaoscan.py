@@ -97,6 +97,48 @@ def test_cluster_count_matches_brute_force_on_random_sets():
         assert cluster_count(pts, radius) == _brute_force_clusters(pts, radius)
 
 
+def _cluster_count_unique(points, radius=chaoscan.CLUSTER_RADIUS):
+    """cluster_count as it was when np.unique(axis=0) collapsed the duplicates."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    n = len(pts)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    ends = np.searchsorted(pts[:, 0], pts[:, 0] + 2.0 * radius, side="right")
+    for a in range(n):
+        d2 = np.sum((pts[a + 1 : ends[a]] - pts[a]) ** 2, axis=1)
+        for b in np.flatnonzero(d2 <= radius * radius) + a + 1:
+            ra, rb = find(a), find(int(b))
+            if ra != rb:
+                parent[rb] = ra
+    return len({find(i) for i in range(n)})
+
+
+def test_cluster_count_collapses_duplicates_as_np_unique_did():
+    # a duplicate changes the count only where it cannot link to itself, on
+    # a non-finite row, so the sets mix near ties, signed zeros, infinities
+    # and NaNs, and repeat rows in a shuffled order
+    rng = np.random.default_rng(25)
+    values = [-np.inf, -0.01, -0.0, 0.0, 0.004, 0.01, np.inf, np.nan]
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        pts = rng.choice(values, (n, 2))
+        jitter = rng.integers(0, 2, (n, 2)) * rng.uniform(-0.02, 0.02, (n, 2))
+        pts = np.where(np.isfinite(pts), pts + jitter, pts)
+        pts[rng.random(n) < 0.3, 0] = pts[0, 0]  # rows equal in x
+        pts = np.vstack([pts, pts[rng.integers(0, n, int(rng.integers(0, 2 * n)))]])
+        pts = pts[rng.permutation(len(pts))]
+        with np.errstate(invalid="ignore"):  # inf - inf inside the sweep
+            for radius in (chaoscan.CLUSTER_RADIUS, 0.003, 0.05):
+                assert cluster_count(pts, radius) == _cluster_count_unique(pts, radius)
+            assert cluster_count(pts) == _cluster_count_unique(pts)
+
+
 @pytest.mark.parametrize("spacing", [1.0, 0.5, 2**-0.5], ids=["radius", "half", "diagonal"])
 def test_cluster_count_matches_brute_force_on_lattice_ties(spacing):
     # lattice neighbours sit on or next to the edge of the d2 rule, on both

@@ -33,6 +33,14 @@ SMALL_MAP = [
     "--axis2", "beta", "--lo2", "0.8", "--hi2", "1.2", "--steps2", "2",
 ]
 
+# a 2-cell stroboscopic sweep whose section points reach the artifact only
+# through the event buffers
+SWEEP = [
+    "bifurcation", "--form", "B", "--alpha", "0.1", "--beta", "1", "--gamma", "0.3",
+    "--delta", "0.5", "--omega", "2", "--section", "strobo", "--t-end", "30", "--dt", "1e-2",
+    "--axis", "gamma", "--lo", "0", "--hi", "1", "--steps", "2",
+]
+
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -104,6 +112,24 @@ def test_a_scan_is_as_wide_as_the_affinity_mask(monkeypatch):
     assert len(set(_within(60, lambda: chaoscan._run_indexed([task] * 6)))) == 3
 
 
+def test_each_task_runs_once_on_threads_that_switch_often(monkeypatch):
+    # eight threads share one iterator over the tasks; a task taken twice or
+    # never shows in the runs or the results
+    monkeypatch.setattr(_workers, "_PLAIN", {})  # no kernel workers: this counts runs
+    _width(monkeypatch, 8)
+    ran = []
+    tasks = [lambda i=i: ran.append(i) or -i for i in range(3000)]
+    order = list(range(3000))[::-1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _within(60, lambda: chaoscan._run_indexed(tasks, order))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [-i for i in range(3000)]
+    assert sorted(ran) == list(range(3000))
+
+
 @fallback_only
 def test_a_scan_forks_one_worker_per_thread_on_the_fallback_only(monkeypatch, forks):
     tasks = [lambda i=i: i for i in range(3)]
@@ -154,11 +180,7 @@ def test_worker_processes_keep_the_bytes_of_the_float64_rerun(tmp_path, monkeypa
 
 @fallback_only
 def test_worker_processes_fill_the_callers_buffers(tmp_path, monkeypatch, forks):
-    # the section hits reach the artifact only through the event buffers
-    argv = ["bifurcation", "--form", "B", "--alpha", "0.1", "--beta", "1", "--gamma", "0.3",
-            "--delta", "0.5", "--omega", "2", "--section", "strobo", "--t-end", "30",
-            "--dt", "1e-2", "--axis", "gamma", "--lo", "0", "--hi", "1", "--steps", "2"]
-    one, two, four = _bytes_at_widths(tmp_path, monkeypatch, forks, argv, 2)
+    one, two, four = _bytes_at_widths(tmp_path, monkeypatch, forks, SWEEP, 2)
     assert one == two == four
     assert len(two[0].decode().splitlines()) > 10
 
@@ -186,6 +208,31 @@ def test_each_scan_thread_has_a_worker_of_its_own(monkeypatch, forks):
 def test_a_worker_that_exits_mid_call_is_one_error_line(tmp_path, monkeypatch, capsys, forks):
     # the workers are forked after the patch, so each one exits on its first call
     monkeypatch.setitem(_workers._PLAIN, "variational", lambda *args: os._exit(3))
+    _width(monkeypatch, 2)
+    out = tmp_path / "map.csv"
+    assert _within(60, lambda: main(SMALL_MAP + ["--out", str(out)])) == 2
+    assert len(forks) == 2
+    assert capsys.readouterr().err == "error: a kernel worker process exited during variational\n"
+    assert not out.exists()
+    _assert_reaped(forks)
+
+
+@fallback_only
+def test_a_reply_cut_short_is_one_error_line(tmp_path, monkeypatch, capsys, forks):
+    # each worker sends the first half of its first reply and exits, as a
+    # worker killed while it writes a reply would: the scan reads a pickle
+    # stream that stops inside a frame, not at a message boundary
+    scan, send = os.getpid(), _workers._send
+
+    def cut_short(conn, obj):
+        if os.getpid() == scan:
+            return send(conn, obj)
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        conn[1].write(data[: len(data) // 2])
+        conn[1].flush()
+        os._exit(3)
+
+    monkeypatch.setattr(_workers, "_send", cut_short)
     _width(monkeypatch, 2)
     out = tmp_path / "map.csv"
     assert _within(60, lambda: main(SMALL_MAP + ["--out", str(out)])) == 2
@@ -233,14 +280,43 @@ def test_commands_without_a_scan_fork_nothing(tmp_path, monkeypatch, forks, comm
     assert forks == []
 
 
+def _python(code):
+    """The output of code, run in a new interpreter on this chaoskit."""
+    src = os.path.dirname(os.path.dirname(_k.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True).stdout
+
+
 @fallback_only
 def test_importing_the_cli_loads_no_multiprocessing():
     code = ("import sys, chaoskit.cli; print(*(name in sys.modules for name in "
             "('multiprocessing', 'concurrent.futures', 'signal')))")
-    src = os.path.dirname(os.path.dirname(_k.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert out.stdout == "False False False\n"
+    assert _python(code) == "False False False\n"
+
+
+@fallback_only
+def test_a_scan_loads_no_multiprocessing_executor_or_numpy_ma(tmp_path):
+    # a 2x2 map and a 2-cell strobo sweep, two workers each, then the
+    # sweep's clusters, as bench/workloads.py counts them
+    code = f"""
+import csv, os, sys
+from chaoskit import _workers, cluster_count
+from chaoskit.cli import main
+import numpy as np
+
+_workers.max_workers = lambda: 2
+forked, fork = [], os.fork
+os.fork = lambda: forked.append(1) or fork()
+assert main({SMALL_MAP + ["--out", str(tmp_path / "map.csv")]!r}) == 0
+assert main({SWEEP + ["--out", str(tmp_path / "bif.csv")]!r}) == 0
+with open({str(tmp_path / "bif.csv")!r}) as fh:
+    fh.readline()  # the manifest
+    rows = list(csv.reader(fh))[1:]
+clusters = cluster_count(np.array([[float(p), float(x)] for p, x in rows]))
+print(len(forked), clusters > 1, *(name in sys.modules for name in
+      ("multiprocessing", "concurrent.futures", "numpy.ma")))
+"""
+    assert _python(code) == "4 True False False False\n"
 
 
 def _errors(cls=ChaoskitError):
