@@ -149,7 +149,10 @@ def _run_indexed(tasks, order=None):
             thread.start()
         for thread in threads:
             thread.join()
-    finally:  # every worker is idle once every thread has ended
+    finally:
+        for _ in todo:  # after an interrupt, no thread takes another task
+            pass
+        # every worker is idle once every thread has ended
         for pid in pids:  # killed first, so a thread still waiting reads EOF
             os.kill(pid, signal.SIGKILL)
         for r, w in conns:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,86 +41,99 @@ D0_MIN = 1e-10
 D0_MAX = 1e-6
 
 
+ENERGY_COLUMNS = ("V", "V_dot_exact", "V_dot_paper", "V_reg", "E")
+# the rows of x whose g(x) _min_g evaluates at once
+_MIN_ROWS = 256
+
+
+def energy_rows(spec: SystemSpec, t, x, v, t_first, g_min):
+    """The functionals (V, V_dot_exact, V_dot_paper, V_reg, E) at the
+    samples (t, x, v) of a run: all of it or any range of its rows.  Two
+    constants come from the whole run: t_first, its first time, where the
+    integral of eps starts, and g_min, the minimum of g(x) over all of its
+    x.  Every operation is elementwise, so a row has the same bits in a
+    block as in the whole run.  Each column keeps the bits of its formula as
+    written: of two nans, the first operand gives the payload.
+    """
+    p = spec.params
+    a = accel_array(spec, t, x, v)
+    eps = spec.epsilon.value(t)
+    V = 0.5 * (v * v + x * x)
+    V_dot_exact = v * a + x * v
+    with np.errstate(divide="ignore"):
+        tq = t**p.q
+        coup = p.gamma + p.beta / tq
+        if spec.form == FORM_B:
+            V_dot_paper = -p.alpha * v * v - p.gamma * (p.delta * np.sin(p.omega * t) * x**p.n) * v
+        else:
+            V_dot_paper = -(p.alpha / tq) * v * v - eps * x * x - p.delta * np.sin(p.omega * x) * v
+    V_reg = 0.5 * v * v + 0.5 * p.beta * x * x + spec.epsilon.integral(t_first, t)
+    g_x = spec.nonlinearity.value(x)
+    E = 0.5 * (g_x + coup * v) - g_min + 0.5 * eps * x * x + 0.5 * v * v
+    return V, V_dot_exact, V_dot_paper, V_reg, E
+
+
+def _min_g(g, x):
+    """g(x).min() over all of x, taken from _MIN_ROWS rows of g(x) at a
+    time where only one float can be that minimum: no nan in g(x), and no
+    zeros of both signs when the minimum is zero.  Otherwise numpy's order
+    of reduction picks the nan or the zero, so g(x) is reduced whole."""
+    lows, zero_signs = [], set()
+    for i in range(0, len(x), _MIN_ROWS):
+        g_x = g.value(x[i : i + _MIN_ROWS])
+        lows.append(g_x.min())
+        zero_signs.update(np.signbit(g_x[g_x == 0.0]).tolist())
+    low = min(lows)
+    if np.isnan(lows).any() or (low == 0.0 and len(zero_signs) == 2):
+        return g.value(x).min()
+    return low
+
+
 @dataclass(frozen=True)
 class EnergyTrace:
-    """Energy functionals sampled along a trajectory."""
+    """Energy functionals along a completed trajectory.
+
+    A trace holds the run's samples t, x and v and the minimum g_min of
+    g(x) over them.  ``rows(start, stop)`` evaluates the functionals of
+    that range of rows, which is how ``io`` writes a trace a block at a
+    time; the attributes V, V_dot_exact, V_dot_paper, V_reg and E are
+    rows over all of the run, evaluated on first access and kept.
+    """
 
     spec: SystemSpec
     t: np.ndarray
-    V: np.ndarray
-    V_dot_exact: np.ndarray
-    V_dot_paper: np.ndarray
-    V_reg: np.ndarray
-    E: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    g_min: float
+
+    def rows(self, start: int, stop: int) -> tuple:
+        s = slice(start, stop)
+        return energy_rows(self.spec, self.t[s], self.x[s], self.v[s], self.t[0], self.g_min)
+
+    @cached_property
+    def columns(self) -> dict:
+        return dict(zip(ENERGY_COLUMNS, self.rows(0, len(self.t))))
+
+    V = property(lambda self: self.columns["V"])
+    V_dot_exact = property(lambda self: self.columns["V_dot_exact"])
+    V_dot_paper = property(lambda self: self.columns["V_dot_paper"])
+    V_reg = property(lambda self: self.columns["V_reg"])
+    E = property(lambda self: self.columns["E"])
 
 
 def energy_trace(traj: Trajectory) -> EnergyTrace:
-    """Evaluate the energy functionals on a completed trajectory.
+    """The energy functionals of a completed trajectory, evaluated on
+    demand.
 
-    At its peak this holds the trajectory, the five columns and two more
-    sample-length arrays: each column is built in place in an array it
-    owns, and the intermediates a, eps, tq, coup and g_x are made in that
-    order and dropped at their last use.  Each column keeps the bits of its
-    formula as written: nothing is re-associated, and operands swap only
-    with a scalar (``0.5 * s`` as ``s *= 0.5``): of two nans, the first
-    gives the payload.
+    The trace keeps the run's samples and min g(x) over them, which is the
+    only work done here.  A caller that reads it through
+    ``EnergyTrace.rows`` a block of rows at a time, as ``io`` writes it,
+    holds the trajectory and one block, not whole columns.
     """
     if traj.status != COMPLETED:
         raise ValueError(f"energy trace requires a completed trajectory, got {traj.status!r}")
-    spec = traj.spec
-    p = spec.params
-    t, x, v = traj.t, traj.x, traj.v
-    a = accel_array(spec, t, x, v)
-    V_dot_exact = np.multiply(v, a, out=a)  # v*a + x*v
-    V_dot_exact += x * v
-    V = v * v  # 0.5*(v*v + x*x)
-    V += x * x
-    V *= 0.5
-    eps = spec.epsilon.value(t)
-    with np.errstate(divide="ignore"):
-        tq = t**p.q
-        # -alpha*v*v - gamma*(delta*sin(omega*t)*x**n)*v on form B,
-        # -(alpha/tq)*v*v - eps*x*x - delta*sin(omega*x)*v on the A forms
-        V_dot_paper = np.full_like(t, -p.alpha) if spec.form == FORM_B else -(p.alpha / tq)
-        coup = np.divide(p.beta, tq, out=tq)  # gamma + beta/tq
-        coup += p.gamma
-        V_dot_paper *= v
-        V_dot_paper *= v
-        if spec.form == FORM_B:
-            s = p.omega * t
-            np.sin(s, out=s)
-            s *= p.delta
-            s *= x**p.n
-            s *= p.gamma
-        else:
-            s = eps * x
-            s *= x
-            V_dot_paper -= s
-            np.multiply(p.omega, x, out=s)
-            np.sin(s, out=s)
-            s *= p.delta
-        s *= v
-        V_dot_paper -= s
-        del s
-    # E = 0.5*(g_x + coup*v) - min(g_x) + 0.5*eps*x*x + 0.5*v*v, in the buffer of coup
-    g_x = spec.nonlinearity.value(x)
-    E = np.multiply(coup, v, out=coup)
-    np.add(g_x, E, out=E)
-    E *= 0.5
-    E -= g_x.min()
-    del g_x
-    np.multiply(0.5, eps, out=eps)
-    eps *= x
-    eps *= x
-    E += eps
-    del eps
-    # V_reg = 0.5*v*v + 0.5*beta*x*x + the integral of eps, from E's last term
-    V_reg = 0.5 * v
-    V_reg *= v
-    E += V_reg
-    V_reg += 0.5 * p.beta * x * x
-    V_reg += spec.epsilon.integral(t[0], t)
-    return EnergyTrace(spec, t, V, V_dot_exact, V_dot_paper, V_reg, E)
+    g_min = _min_g(traj.spec.nonlinearity, traj.x)
+    return EnergyTrace(traj.spec, traj.t, traj.x, traj.v, g_min)
 
 
 @dataclass(frozen=True)

@@ -152,12 +152,14 @@ def cluster_count(points: np.ndarray, radius: float = CLUSTER_RADIUS) -> int:
 
     ends = np.searchsorted(pts[:, 0], pts[:, 0] + 2.0 * radius, side="right")
     r2 = radius * radius
-    for a in range(n):
-        d2 = np.sum((pts[a + 1 : ends[a]] - pts[a]) ** 2, axis=1)
-        for b in np.flatnonzero(d2 <= r2) + a + 1:
-            ra, rb = find(a), find(int(b))
-            if ra != rb:
-                parent[rb] = ra
+    # rows that share an infinite coordinate give inf - inf: the nan links nothing
+    with np.errstate(invalid="ignore"):
+        for a in range(n):
+            d2 = np.sum((pts[a + 1 : ends[a]] - pts[a]) ** 2, axis=1)
+            for b in np.flatnonzero(d2 <= r2) + a + 1:
+                ra, rb = find(a), find(int(b))
+                if ra != rb:
+                    parent[rb] = ra
     return len({find(i) for i in range(n)})
 
 

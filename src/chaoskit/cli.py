@@ -251,7 +251,7 @@ COMMANDS = {
         (),
         _energy,
         lambda out, trace, m: _io.write_energy_csv(out, trace, m),
-        lambda trace, opts: (_io.energy_columns(trace), {}),
+        lambda trace, opts: (_io.energy_table(trace), {}),
         _INTEGRATOR_FLAGS,
     ),
     "lyapunov": Command(

@@ -12,7 +12,10 @@ Manifests, JSON artifacts and .meta.json sidecars are standard JSON (RFC
 as Infinity or NaN.  The critical artifact writes the exponent of an escaped
 probe as null.
 
-Tables are formatted and written a block of ROWS_PER_BLOCK rows at a time.
+Tables are formatted and written a block of ROWS_PER_BLOCK rows at a time,
+and a table takes its rows from a callable, one block per call: an energy
+table evaluates each block's functionals from the trajectory as it goes,
+so writing it holds the trajectory and one block, not whole columns.
 A writer whose write raises removes the regular file it truncated before
 the error propagates, so a failed write leaves no artifact that looks whole;
 a FIFO or device given as the path is left alone.
@@ -26,6 +29,7 @@ import os
 import stat
 from contextlib import contextmanager, suppress
 from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,11 +43,11 @@ from .chaoscan import (
     LambdaMap,
     PoincareSection,
 )
-from .analysis import EnergyTrace
+from .analysis import ENERGY_COLUMNS, EnergyTrace
 from .integrate import Trajectory
 
 FLOAT_FMT = "%.17g"
-ROWS_PER_BLOCK = 1024
+ROWS_PER_BLOCK = 256
 
 
 def manifest_line(manifest: dict) -> str:
@@ -77,22 +81,36 @@ def _created(path):
         raise
 
 
-def _write_table(path, head, columns: dict, sep=","):
-    """Write head, the column names joined by sep, then one line per index
-    of the equal-length array columns.  Every row follows one template:
-    float columns as FLOAT_FMT, text columns (labels, markers) as %s.  A
-    block of ROWS_PER_BLOCK rows is one % of the template repeated for the
-    block over the block's values in row order, taken from Python lists
-    (faster than numpy scalars, and the same text), and one write; a long
-    table never holds more than one block as Python objects."""
-    row = sep.join(FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in columns.values()) + "\n"
-    cols = list(columns.values())
+class Table(NamedTuple):
+    """Named columns of n rows; rows(i, j) gives the arrays of every
+    column's values in rows i to min(j, n)."""
+
+    names: tuple
+    n: int
+    rows: Callable
+
+    @classmethod
+    def of(cls, columns: dict) -> "Table":
+        """The table of a dict of equal-length array columns."""
+        cols = list(columns.values())
+        return cls(tuple(columns), max(map(len, cols)), lambda i, j: [c[i:j] for c in cols])
+
+
+def _write_table(path, head, table: Table, sep=","):
+    """Write head, the column names joined by sep, then one line per row.
+    Every row follows one template: float columns as FLOAT_FMT, text
+    columns (labels, markers) as %s.  A block of ROWS_PER_BLOCK rows is one
+    call of table.rows, one % of the template repeated for the block over
+    the block's values in row order, taken from Python lists (faster than
+    numpy scalars, and the same text), and one write; a long table never
+    holds more than one block."""
     with _created(path) as fh:
-        fh.write(head + sep.join(columns) + "\n")
-        for i in range(0, max(map(len, cols)), ROWS_PER_BLOCK):
-            block = [c[i : i + ROWS_PER_BLOCK].tolist() for c in cols]
-            values = tuple(chain.from_iterable(zip(*block, strict=True)))
-            fh.write(row * len(block[0]) % values)
+        fh.write(head + sep.join(table.names) + "\n")
+        for i in range(0, table.n, ROWS_PER_BLOCK):
+            block = table.rows(i, i + ROWS_PER_BLOCK)
+            row = sep.join(FLOAT_FMT if c.dtype.kind == "f" else "%s" for c in block) + "\n"
+            cells = [c.tolist() for c in block]
+            fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells, strict=True))))
 
 
 def _csv_head(manifest):
@@ -107,9 +125,11 @@ def trajectory_columns(traj: Trajectory) -> dict:
     return {"t": traj.t, "x": traj.x, "v": traj.v}
 
 
-def energy_columns(trace: EnergyTrace) -> dict:
-    names = ("t", "V", "V_dot_exact", "V_dot_paper", "V_reg", "E")
-    return {name: getattr(trace, name) for name in names}
+def energy_table(trace: EnergyTrace) -> Table:
+    """t and the functionals, each block evaluated as it is written."""
+    return Table(
+        ("t", *ENERGY_COLUMNS), len(trace.t), lambda i, j: (trace.t[i:j], *trace.rows(i, j))
+    )
 
 
 def poincare_columns(section: PoincareSection) -> dict:
@@ -117,15 +137,15 @@ def poincare_columns(section: PoincareSection) -> dict:
 
 
 def write_trajectory_csv(path, traj: Trajectory, manifest: dict):
-    _write_table(path, _csv_head(manifest), trajectory_columns(traj))
+    _write_table(path, _csv_head(manifest), Table.of(trajectory_columns(traj)))
 
 
 def write_energy_csv(path, trace: EnergyTrace, manifest: dict):
-    _write_table(path, _csv_head(manifest), energy_columns(trace))
+    _write_table(path, _csv_head(manifest), energy_table(trace))
 
 
 def write_poincare_csv(path, section: PoincareSection, manifest: dict):
-    _write_table(path, _csv_head(manifest), poincare_columns(section))
+    _write_table(path, _csv_head(manifest), Table.of(poincare_columns(section)))
 
 
 def write_bifurcation_csv(path, diagram: BifurcationDiagram, manifest: dict):
@@ -135,11 +155,11 @@ def write_bifurcation_csv(path, diagram: BifurcationDiagram, manifest: dict):
     xs = [
         np.array(["Diverged"]) if status == CELL_DIVERGED
         else np.array(["Empty"]) if status == CELL_EMPTY or len(cell) == 0
-        else np.char.mod(FLOAT_FMT, cell)
+        else np.array([FLOAT_FMT % x for x in cell.tolist()])
         for cell, status in zip(diagram.cells, diagram.statuses)
     ]
     param = np.repeat(diagram.values, [len(x) for x in xs])
-    _write_table(path, _csv_head(manifest), {"param": param, "x": np.concatenate(xs)})
+    _write_table(path, _csv_head(manifest), Table.of({"param": param, "x": np.concatenate(xs)}))
 
 
 def classify_lambda(lam: float, status: str) -> str:
@@ -165,7 +185,7 @@ def write_lambda_map_csv(path, lmap: LambdaMap, manifest: dict):
         "lambda": lam,
         "status": np.array([classify_lambda(*cell) for cell in zip(lam, statuses)]),
     }
-    _write_table(path, _csv_head(manifest), columns)
+    _write_table(path, _csv_head(manifest), Table.of(columns))
 
 
 def _write_document(path, doc: dict):
@@ -198,8 +218,11 @@ def critical_payload(crit: CriticalSet) -> dict:
     }
 
 
-def emit_plotdata(path, columns: dict, meta: dict):
+def emit_plotdata(path, columns, meta: dict):
     """Write a whitespace-separated data file gnuplot can plot directly,
-    plus a .meta.json sidecar describing the columns."""
-    _write_table(path, "# ", {k: np.asarray(c, dtype=float) for k, c in columns.items()}, sep=" ")
-    _write_document(str(path) + ".meta.json", {**meta, "columns": list(columns)})
+    plus a .meta.json sidecar describing the columns.  columns is a Table
+    or a dict of equal-length columns of floats (lists or arrays)."""
+    if not isinstance(columns, Table):
+        columns = Table.of({k: np.asarray(c, dtype=float) for k, c in columns.items()})
+    _write_table(path, "# ", columns, sep=" ")
+    _write_document(str(path) + ".meta.json", {**meta, "columns": list(columns.names)})

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -269,6 +270,12 @@ class SystemSpec:
         if self.form not in FORMS:
             raise ValidationError([f"unknown form {self.form!r}; expected one of {FORMS}"])
 
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """``pack_spec(self)``, packed on first use and kept: a command that
+        runs a kernel once per block of rows packs its spec once."""
+        return pack_spec(self)
+
     def to_dict(self):
         return {
             "form": self.form,
@@ -397,8 +404,8 @@ def refuse_inert(name: str, systems) -> None:
 def pack_spec(spec: SystemSpec) -> np.ndarray:
     """Flatten a spec into the float64 vector the kernels consume.
 
-    Only ``run_kernel`` calls this; it decides in which form the kernel
-    reads the vector.
+    Only ``SystemSpec.packed`` calls this; ``run_kernel`` decides in which
+    form the kernel reads the vector.
     """
     P = np.zeros(_k.NPACKED)
     P[_k.FORM] = FORMS.index(spec.form)
@@ -432,7 +439,7 @@ def run_kernel(spec: SystemSpec, kernel, *args):
     off, as compiled code does: every caller judges the result by its status
     or finiteness.
     """
-    P = pack_spec(spec)
+    P = spec.packed
     if _k.NUMBA_ENABLED:
         return kernel(P, *args)
     with np.errstate(all="ignore"):

@@ -14,7 +14,7 @@ import pytest
 from test_fallback_floats import OVERFLOW, OVERFLOW_START
 
 from chaoskit import _kernels as _k
-from chaoskit import analysis
+from chaoskit import analysis, cli
 from chaoskit import (
     DegenerateSeparation,
     DivergedTrajectory,
@@ -38,6 +38,8 @@ from chaoskit import (
     lyapunov_two_trajectory,
     lyapunov_variational,
 )
+from chaoskit.cli import main
+from chaoskit.io import FLOAT_FMT, ROWS_PER_BLOCK, emit_plotdata, energy_table, write_energy_csv
 
 LINEAR = SystemSpec(form=FORM_B, params=Params(alpha=0.5, beta=1.0))
 FULL_B = SystemSpec(
@@ -214,25 +216,130 @@ def test_energy_columns_keep_the_bits_of_their_formulas(case, non_finite):
     with np.errstate(all="ignore"):  # the non-finite samples overflow and give nan
         want = _energy_trace_reference(traj)
         tr = energy_trace(traj)
-    got = (tr.t, tr.V, tr.V_dot_exact, tr.V_dot_paper, tr.V_reg, tr.E)
+        got = (tr.t, tr.V, tr.V_dot_exact, tr.V_dot_paper, tr.V_reg, tr.E)
     names = ("t", "V", "V_dot_exact", "V_dot_paper", "V_reg", "E")
     assert [n for n, a, b in zip(names, got, want) if a.tobytes() != b.tobytes()] == []
 
 
+@pytest.mark.parametrize("g", list(_GS.values()), ids=list(_GS))
+def test_min_g_keeps_the_bits_of_numpys_min(g):
+    # zeros of both signs and nans with payloads, in one block or across
+    # several, where numpy's order of reduction picks the zero or the nan
+    rng = np.random.default_rng(26)
+    payload = np.array([0x7FF8_0000_0000_0ABC], dtype=np.uint64).view(np.float64)[0]
+    for rows in (1, 255, 256, 257, 3000):
+        for _ in range(20):
+            # zeros alone, zeros at the bottom of the range, or a negative minimum
+            pool = [[-0.0, 0.0], [-0.0, 0.0, 0.25, 2.0], [-1.5, -0.0, 0.0, 0.25]][rng.integers(0, 3)]
+            x = rng.choice(pool, rows) * rng.uniform(0.5, 1.0, rows) ** rng.integers(0, 2, rows)
+            if rng.random() < 0.3:
+                x[rng.integers(0, rows, 2)] = rng.choice([np.nan, -np.nan, payload, np.inf, -np.inf], 2)
+            with np.errstate(invalid="ignore"):
+                want = g.value(x).min()
+                got = analysis._min_g(g, x)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (rows, x)
+
+
+_ENERGY_NAMES = ("t", "V", "V_dot_exact", "V_dot_paper", "V_reg", "E")
+
+
+def _reference_text(traj, head, sep):
+    """The energy table of traj as text, from _energy_trace_reference's columns."""
+    with np.errstate(all="ignore"):
+        columns = [c.tolist() for c in _energy_trace_reference(traj)]
+    rows = (sep.join(FLOAT_FMT % value for value in row) + "\n" for row in zip(*columns))
+    return head + sep.join(_ENERGY_NAMES) + "\n" + "".join(rows)
+
+
+def _first_difference(text, want):
+    """None, or the first line that differs and its number: not a diff of
+    two long texts."""
+    lines, wanted = text.splitlines(keepends=True), want.splitlines(keepends=True)
+    pairs = zip(lines + [""] * len(wanted), wanted + [""] * len(lines))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+def _energy_command(tmp_path, spec, start, cfg):
+    """The CSV, without its manifest line, and the --plot-out file of an
+    energy command on spec from start, and the trajectory it ran."""
+    spec_file, out, plot = tmp_path / "spec.json", tmp_path / "energy.csv", tmp_path / "energy.dat"
+    spec_file.write_text(spec.to_json())
+    run = ["--t0", repr(start.t), "--x0", repr(start.x), "--v0", repr(start.v),
+           "--dt", repr(cfg.dt), "--t-end", repr(cfg.t_end), "--sample-every", str(cfg.sample_every)]
+    with np.errstate(all="ignore"):  # the overflowing run gives inf and nan
+        code = main(["energy", "--spec-json", str(spec_file), *run,
+                     "--out", str(out), "--plot-out", str(plot)])
+    assert code == 0
+    return out.read_text().split("\n", 1)[1], plot.read_text(), integrate(spec, start, cfg)
+
+
+@pytest.mark.parametrize("case", list(_BIT_CASES))
+def test_the_energy_command_writes_the_reference_text(tmp_path, case):
+    # every form, g and eps preset, over two blocks of rows (the overflowing
+    # run, over one): the streamed blocks hold each row's bits
+    csv, plot, traj = _energy_command(tmp_path, *_BIT_CASES[case])
+    assert _first_difference(csv, _reference_text(traj, "", ",")) is None
+    assert _first_difference(plot, _reference_text(traj, "# ", " ")) is None
+
+
+# (rows, sample_every) around the block edges; dt = 2**-6 puts t_end on the grid
+_EDGES = [(2, 2), (255, 1), (256, 1), (257, 1), (20001, 1), (255, 3), (257, 3), (2001, 7)]
+
+
+@pytest.mark.parametrize("rows, sample_every", _EDGES, ids=[f"{r}x{k}" for r, k in _EDGES])
+@pytest.mark.parametrize("case", ["B-Zero-Constant", "A2-Cubic-PowerLaw"])
+def test_energy_blocks_at_their_edges_write_the_reference_text(tmp_path, case, rows, sample_every):
+    spec, start, _ = _BIT_CASES[case]
+    steps = (rows - 1) * sample_every
+    cfg = IntegratorConfig(dt=2.0**-6, t_end=start.t + steps * 2.0**-6, sample_every=sample_every)
+    csv, plot, traj = _energy_command(tmp_path, spec, start, cfg)
+    assert len(traj) == rows
+    assert _first_difference(csv, _reference_text(traj, "", ",")) is None
+    assert _first_difference(plot, _reference_text(traj, "# ", " ")) is None
+
+
+@pytest.mark.parametrize("case", ["1-row", *_NON_FINITE])
+def test_energy_writers_write_the_reference_text(tmp_path, case):
+    # what no command run gives: a run of one sample, and inf and nan samples
+    if case == "1-row":
+        traj = integrate(*_BIT_CASES["A1-Sine-PowerLaw1"])
+        traj = replace(traj, t=traj.t[:1], x=traj.x[:1], v=traj.v[:1])
+    else:
+        traj = _non_finite(integrate(*_BIT_CASES[case]))
+    with np.errstate(all="ignore"):
+        trace = energy_trace(traj)
+        write_energy_csv(tmp_path / "energy.csv", trace, {})
+        emit_plotdata(tmp_path / "energy.dat", energy_table(trace), {})
+    csv, plot = (tmp_path / "energy.csv").read_text(), (tmp_path / "energy.dat").read_text()
+    assert _first_difference(csv, _reference_text(traj, "# {}\n", ",")) is None
+    assert _first_difference(plot, _reference_text(traj, "# ", " ")) is None
+
+
 @pytest.mark.parametrize("spec", [FULL_B, replace(REGULARIZED, nonlinearity=_GS["Cubic"])], ids=["B", "A2"])
-def test_energy_trace_holds_its_columns_and_two_more(spec):
-    # at its peak: the trajectory, the five new columns and two sample-length
-    # temporaries (one per operation of the formulas held twelve at once)
-    traj = integrate(spec, State(1.0, 1.0, 0.0), IntegratorConfig(method="rk4", dt=1e-2, t_end=21.0))
-    row = traj.t.nbytes
-    assert len(traj) == 2001
-    tracemalloc.start()  # after the run: tracing slows the fallback's kernels
-    try:
-        energy_trace(traj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 3 * row + peak <= (3 + 5 + 2) * row + row // 2
+def test_energy_holds_its_trajectory_and_one_block(tmp_path, monkeypatch, spec):
+    # past its run, the energy command (the trace, its CSV and its plot file)
+    # holds one block of rows at a time, so its peak does not grow with the
+    # run; it held five whole columns and two more before it wrote a block
+    def run(*args):
+        traj = integrate(*args)
+        tracemalloc.start()  # after the run: tracing slows the fallback's kernels
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", run)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(spec.to_json())
+    peaks = {}
+    for rows in (2001, 20001):
+        argv = ["energy", "--spec-json", str(spec_file), "--t0", "1", "--dt", "1e-2",
+                "--t-end", str(1 + (rows - 1) // 100), "--out", str(tmp_path / "energy.csv"),
+                "--plot-out", str(tmp_path / "energy.dat")]
+        try:
+            assert main(argv) == 0
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "energy.csv").read_text().splitlines()) == 2 + rows
+    assert peaks[20001] <= peaks[2001] + ROWS_PER_BLOCK * len(_ENERGY_NAMES) * 8
 
 
 def test_eigenvalues_satisfy_characteristic_polynomial():

@@ -271,7 +271,7 @@ def test_fallback_kernel_receives_a_list(monkeypatch):
 
     for name in ("rk4_trajectory", "rhs_array"):
         monkeypatch.setattr(_k, name, spy(getattr(_k, name)))
-    energy_trace(integrate(OVERFLOW, OVERFLOW_START, IntegratorConfig(dt=1e-2, t_end=2.0)))
+    energy_trace(integrate(OVERFLOW, OVERFLOW_START, IntegratorConfig(dt=1e-2, t_end=2.0))).columns
     assert handed == [np.ndarray if _k.NUMBA_ENABLED else list] * 2
 
 

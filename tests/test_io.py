@@ -12,7 +12,6 @@ import pytest
 from chaoskit import (
     Axis,
     BifurcationDiagram,
-    EnergyTrace,
     FORM_B,
     IntegratorConfig,
     LambdaMap,
@@ -24,6 +23,7 @@ from chaoskit import (
     Trajectory,
     VelocityZeroCrossing,
     bifurcation_sweep,
+    energy_trace,
     integrate,
     lambda_map,
     lyapunov_variational,
@@ -32,6 +32,7 @@ from chaoskit import (
 from chaoskit.io import (
     FLOAT_FMT,
     ROWS_PER_BLOCK,
+    Table,
     _write_table,
     classify_lambda,
     emit_plotdata,
@@ -174,22 +175,25 @@ def test_trajectory_csv_golden_text(tmp_path):
 
 
 def test_energy_csv_golden_text(tmp_path):
-    trace = EnergyTrace(
+    # the trace of a hand-built run: -0 from -0.5*v*v at v = 0, and a nan
+    # sample that every functional carries
+    traj = Trajectory(
         LINEAR,
-        np.array([0.0, 0.5]),
-        np.array([0.5, 0.25]),
-        np.array([-0.0, -0.125]),
-        np.array([0.0, NAN]),
-        np.array([0.5, 0.1]),
-        np.array([1.0, 2.0]),
+        np.array([0.0, 0.5, 1.0]),
+        np.array([1.0, -0.0, NAN]),
+        np.array([0.0, 0.2, 1.0]),
+        "completed",
     )
     path = tmp_path / "energy.csv"
-    write_energy_csv(path, trace, SMALL)
+    with np.errstate(invalid="ignore"):
+        write_energy_csv(path, energy_trace(traj), SMALL)
     assert path.read_bytes().decode() == (
         HEAD
         + "t,V,V_dot_exact,V_dot_paper,V_reg,E\n"
-        "0,0.5,-0,0,0.5,1\n"
-        "0.5,0.25,-0.125,nan,0.10000000000000001,2\n"
+        "0,0.5,0,-0,0.5,0\n"
+        "0.5,0.020000000000000004,-0.020000000000000004,-0.020000000000000004,"
+        "0.020000000000000004,0.12000000000000001\n"
+        "1,nan,nan,nan,nan,nan\n"
     )
 
 
@@ -211,6 +215,21 @@ def test_bifurcation_csv_golden_text(tmp_path):
         "0.75,0.10000000000000001\n"
         "0.75,-1.5\n"
     )
+
+
+def test_bifurcation_points_are_the_text_np_char_mod_gave(tmp_path):
+    # the writer formats each section point with % over Python floats;
+    # np.char.mod, which it replaced, gave these strings
+    rng = np.random.default_rng(26)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, INF, -INF, NAN]
+    cell = np.concatenate([special, rng.standard_normal(100_000) * 10.0 ** rng.uniform(-320, 308, 100_000)])
+    diagram = BifurcationDiagram(FORCED, Axis("gamma", 0.0, 1.0, 2), np.array([0.0, 1.0]),
+                                 [cell, np.array([])], ["ok", "empty"])
+    path = tmp_path / "bif.csv"
+    write_bifurcation_csv(path, diagram, SMALL)
+    written = [line.split(",")[1] for line in path.read_text().splitlines()[2:]]
+    assert written == np.char.mod(FLOAT_FMT, cell).tolist() + ["Empty"]
 
 
 def test_lambda_map_csv_golden_text(tmp_path):
@@ -270,14 +289,14 @@ def _table(rows, text):
     return columns
 
 
-@pytest.mark.parametrize("rows", [0, 1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
-                                  2 * ROWS_PER_BLOCK + 1])
+@pytest.mark.parametrize("rows", [0, 1, 4 * ROWS_PER_BLOCK - 1, 4 * ROWS_PER_BLOCK,
+                                  4 * ROWS_PER_BLOCK + 1, 8 * ROWS_PER_BLOCK + 1])
 @pytest.mark.parametrize("text, sep", [(False, ","), (True, ","), (False, " ")])
 def test_blocks_write_the_rows_a_row_at_a_time_would(tmp_path, rows, text, sep):
     assert FLOAT_FMT == "%.17g"
     columns = _table(rows, text)
     path = tmp_path / "table"
-    _write_table(path, "# head\n", columns, sep=sep)
+    _write_table(path, "# head\n", Table.of(columns), sep=sep)
     written = path.read_text().splitlines(keepends=True)
     expected = _per_row("# head\n", columns, sep).splitlines(keepends=True)
     # the first line that differs, not a diff of two long texts
@@ -293,7 +312,7 @@ class _Exploding:
 
 
 def _failing_table():
-    # the label column fails at row 1500 of 3000, in the second block of rows
+    # the label column fails at row 1500 of 3000, after five blocks of rows
     label = np.array(["ok"] * 3000, dtype=object)
     label[1500] = _Exploding()
     return {"t": np.linspace(0.0, 1.0, 3000), "label": label}
@@ -303,7 +322,7 @@ def test_a_write_that_fails_removes_its_file(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("an older artifact\n")
     with pytest.raises(OSError, match="No space left"):
-        _write_table(path, "# head\n", _failing_table())
+        _write_table(path, "# head\n", Table.of(_failing_table()))
     assert not path.exists()
     # json.dump writes the manifest before it meets the value it cannot encode
     with pytest.raises(TypeError):
@@ -319,7 +338,7 @@ def test_a_write_that_fails_leaves_a_fifo_in_place(tmp_path):
     reader.start()
     try:
         with pytest.raises(OSError, match="No space left"):
-            _write_table(fifo, "# head\n", _failing_table())
+            _write_table(fifo, "# head\n", Table.of(_failing_table()))
     finally:
         reader.join(30)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)

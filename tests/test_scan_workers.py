@@ -3,6 +3,7 @@ processes a scan forks, and what a scan does when a worker fails."""
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -317,6 +318,51 @@ print(len(forked), clusters > 1, *(name in sys.modules for name in
       ("multiprocessing", "concurrent.futures", "numpy.ma")))
 """
     assert _python(code) == "4 True False False False\n"
+
+
+def test_a_bifurcation_run_loads_no_numpy_char(tmp_path):
+    # the section points are formatted with % over Python floats
+    code = f"""
+import sys
+from chaoskit.cli import main
+assert main({SWEEP + ["--out", str(tmp_path / "bif.csv")]!r}) == 0
+print(*(name in sys.modules for name in ("numpy.char", "numpy.strings")))
+"""
+    assert _python(code) == "False False\n"
+    assert len((tmp_path / "bif.csv").read_text().splitlines()) > 3
+
+
+def test_ctrl_c_stops_a_scan_after_the_cells_that_are_running():
+    # 20 stand-in cells of 0.2 s on two threads, interrupted 0.3 s into the
+    # scan: the process ends once the two running cells end, not after all 20
+    code = """
+import time
+from chaoskit import _workers
+
+def cell():
+    print("cell", flush=True)
+    time.sleep(0.2)
+
+_workers.max_workers = lambda: 2
+_workers._run_indexed([cell] * 20)
+"""
+    src = os.path.dirname(os.path.dirname(_k.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        assert proc.stdout.readline() == "cell\n"
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        interrupted = time.monotonic()
+        proc.wait(timeout=30)
+        took = time.monotonic() - interrupted
+    finally:
+        proc.kill()
+        proc.wait()
+    stdout, stderr = proc.communicate()
+    assert "KeyboardInterrupt" in stderr
+    assert took < 1.0
+    assert stdout.count("cell") < 6  # the first cell's line was read above
 
 
 def _errors(cls=ChaoskitError):
